@@ -11,11 +11,14 @@ from typing import Iterator, List, Optional
 
 from .instructions import Instruction, PhiInst, TerminatorInst
 from .types import LABEL
-from .values import Value
+from .values import FUNCTION_LOCAL_NAME, Value
 
 
 class BasicBlock(Value):
     """An ordered list of instructions ending (when well-formed) in a terminator."""
+
+    name = FUNCTION_LOCAL_NAME
+    parent = None  # read by the name setter before __init__ sets it
 
     def __init__(self, name: str = "", parent=None) -> None:
         super().__init__(LABEL, name)
@@ -51,14 +54,21 @@ class BasicBlock(Value):
         """Append an instruction to the end of the block."""
         instruction.parent = self
         self.instructions.append(instruction)
-        self.notify_mutated()
+        self._attached(instruction)
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
         instruction.parent = self
         self.instructions.insert(index, instruction)
-        self.notify_mutated()
+        self._attached(instruction)
         return instruction
+
+    def _attached(self, instruction: Instruction) -> None:
+        """Bookkeeping after ``instruction`` joined this block."""
+        self.notify_mutated()
+        function = self.parent
+        if function is not None and function._name_table is not None and instruction.name:
+            function._name_table.add(instruction.name)
 
     def insert_before(self, existing: Instruction, instruction: Instruction) -> Instruction:
         return self.insert(self.instructions.index(existing), instruction)

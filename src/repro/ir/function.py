@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Tuple
+import weakref
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .basic_block import BasicBlock
 from .instructions import Instruction, PhiInst
@@ -15,6 +16,10 @@ from .values import Argument, GlobalValue
 #: construction changes: persisted artifacts keyed by old digests then become
 #: unreachable (a cold rebuild) instead of silently wrong.
 DIGEST_SCHEMA = "repro-fn-digest-v1"
+
+#: The one function whose name table is live (see :meth:`Function.unique_name`).
+#: Held weakly, so a table never keeps a discarded function or module alive.
+_name_table_holder: Optional["weakref.ref[Function]"] = None
 
 
 class Function(GlobalValue):
@@ -34,6 +39,7 @@ class Function(GlobalValue):
         self._mutation_epoch = 0
         self._content_digest: Optional[Tuple[int, str]] = None
         self._canonical_text: Optional[Tuple[int, str]] = None
+        self._name_table: Optional[Set[str]] = None
         for index, param_type in enumerate(function_type.param_types):
             arg_name = arg_names[index] if arg_names and index < len(arg_names) else f"arg{index}"
             self.args.append(Argument(param_type, arg_name, parent=self, index=index))
@@ -150,6 +156,10 @@ class Function(GlobalValue):
         block.parent = self
         if not block.name:
             block.name = self.unique_name("bb")
+        table = self._name_table
+        if table is not None:
+            table.add(block.name)
+            table.update(inst.name for inst in block.instructions if inst.name)
         if before is not None:
             self.blocks.insert(self.blocks.index(before), block)
         else:
@@ -181,17 +191,47 @@ class Function(GlobalValue):
 
     # ------------------------------------------------------------- naming
     def unique_name(self, prefix: str = "v") -> str:
-        """Return a fresh value/block name, unique within this function."""
-        existing = {block.name for block in self.blocks}
-        existing.update(arg.name for arg in self.args)
-        for inst in self.instructions():
-            if inst.name:
-                existing.add(inst.name)
+        """Return a fresh value/block name, unique within this function.
+
+        Candidates ``prefix0``, ``prefix1``, ... are drawn from a per-function
+        counter and checked against a name table: a superset of the live
+        local names, kept current by :meth:`add_block`,
+        :meth:`BasicBlock.append`/``insert`` and renames of attached values.
+        A candidate that hits the table may be a stale (removed) name, so the
+        first hit rebuilds the table exactly; the answer is therefore the one
+        a full rescan of the function would give.  Only one function holds a
+        table at a time; a call on another function takes it over.
+        """
+        table = self._name_table
+        exact = table is None
+        if exact:
+            table = self._take_name_table()
         while True:
             candidate = f"{prefix}{self._next_value_id}"
+            if candidate in table and not exact:
+                table = self._rebuild_name_table()
+                exact = True
+                continue
             self._next_value_id += 1
-            if candidate not in existing:
+            if candidate not in table:
                 return candidate
+
+    def _take_name_table(self) -> Set[str]:
+        global _name_table_holder
+        previous = _name_table_holder() if _name_table_holder is not None else None
+        if previous is not None:
+            previous._name_table = None
+        _name_table_holder = weakref.ref(self)
+        return self._rebuild_name_table()
+
+    def _rebuild_name_table(self) -> Set[str]:
+        table = {block.name for block in self.blocks}
+        table.update(arg.name for arg in self.args)
+        for inst in self.instructions():
+            if inst.name:
+                table.add(inst.name)
+        self._name_table = table
+        return table
 
     def assign_names(self) -> None:
         """Give every unnamed block and value-producing instruction a name."""

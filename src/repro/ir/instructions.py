@@ -29,7 +29,7 @@ from .types import (
     I1,
     VOID,
 )
-from .values import Constant, User, Value
+from .values import BLOCK_LOCAL_NAME, Constant, User, Value
 
 # --------------------------------------------------------------------------
 # Opcode groups
@@ -64,6 +64,8 @@ class Instruction(User):
     """
 
     opcode: str = "<abstract>"
+    name = BLOCK_LOCAL_NAME
+    parent = None  # read by the name setter before __init__ sets it
 
     def __init__(self, type_: Type, name: str = "") -> None:
         super().__init__(type_, name)

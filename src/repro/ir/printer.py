@@ -40,9 +40,10 @@ def value_ref(value: Value) -> str:
         return "<null-operand>"
     if isinstance(value, (Constant, UndefValue)):
         return value.ref()
+    name = value.name
     if isinstance(value, GlobalValue):
-        return f"@{value.name}"
-    return f"%{value.name}" if value.name else "%<unnamed>"
+        return f"@{name}"
+    return f"%{name}" if name else "%<unnamed>"
 
 
 def typed_ref(value: Value) -> str:

@@ -80,6 +80,39 @@ class Value:
         return f"<{type(self).__name__} {self.ref()} : {self.type}>"
 
 
+def _get_local_name(value: "Value") -> str:
+    return value._name
+
+
+def _local_name(in_block: bool) -> property:
+    """The ``name`` attribute of a function-local value.
+
+    Every non-empty name written also goes into the enclosing function's
+    name table, if it holds one (see
+    :meth:`repro.ir.function.Function.unique_name`), which must stay a
+    superset of the function's live local names.  The name lives in
+    ``_name``: writing the instance ``__dict__`` instead would materialise a
+    dict per IR object.  ``in_block`` says the value's ``parent`` is a block
+    (instructions) rather than the function itself (blocks, arguments).
+    """
+    def set_name(value: "Value", name: str) -> None:
+        value._name = name
+        if name:
+            function = value.parent
+            if in_block and function is not None:
+                function = function.parent
+            if function is not None and function._name_table is not None:
+                function._name_table.add(name)
+
+    return property(_get_local_name, set_name)
+
+
+#: ``name`` of a block or an argument, whose ``parent`` is the function.
+FUNCTION_LOCAL_NAME = _local_name(in_block=False)
+#: ``name`` of an instruction, whose ``parent`` is its block.
+BLOCK_LOCAL_NAME = _local_name(in_block=True)
+
+
 class User(Value):
     """A value that references other values through an operand list."""
 
@@ -216,6 +249,9 @@ class UndefValue(Value):
 
 class Argument(Value):
     """A formal parameter of a :class:`~repro.ir.function.Function`."""
+
+    name = FUNCTION_LOCAL_NAME
+    parent = None  # read by the name setter before __init__ sets it
 
     def __init__(self, type_: Type, name: str = "", parent=None, index: int = -1) -> None:
         super().__init__(type_, name)

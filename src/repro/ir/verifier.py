@@ -4,7 +4,8 @@ The verifier enforces the properties the paper's code generator must preserve
 (§4.3): every block ends in a terminator, phi-nodes agree with their block's
 predecessors, every use of a value is dominated by its definition (the SSA
 *dominance property*), and landing pads appear only as the unwind successor of
-an ``invoke``.
+an ``invoke``.  Local names are unique: arguments, blocks and named
+instructions share one namespace, as in LLVM.
 
 Merged functions produced by both FMSA and SalSSA are verified in the test
 suite and (optionally) by the pass manager after every committed merge.
@@ -51,6 +52,7 @@ def verify_function(function: Function, raise_on_error: bool = True,
     if function.entry_block is None:
         errors.append(f"@{function.name}: function has no entry block")
 
+    errors.extend(_verify_unique_names(function))
     for block in function.blocks:
         errors.extend(_verify_block_structure(function, block, blocks))
 
@@ -78,6 +80,20 @@ def verify_module(module: Module, raise_on_error: bool = True,
 # ---------------------------------------------------------------------------
 # Individual rules
 # ---------------------------------------------------------------------------
+
+def _verify_unique_names(function: Function) -> List[str]:
+    names = [arg.name for arg in function.args]
+    for block in function.blocks:
+        names.append(block.name)
+        names.extend(inst.name for inst in block.instructions)
+    seen: Set[str] = set()
+    duplicates: List[str] = []
+    for name in filter(None, names):
+        if name in seen and name not in duplicates:
+            duplicates.append(name)
+        seen.add(name)
+    return [f"@{function.name}: duplicate local name %{name}" for name in duplicates]
+
 
 def _verify_block_structure(function: Function, block: BasicBlock,
                             blocks: Set[BasicBlock]) -> List[str]:

@@ -2,7 +2,7 @@
 
 from .linearize import Entry, InstructionEntry, LabelEntry, linearize, sequence_length
 from .matching import entries_match, instructions_match, is_landing_block, labels_match
-from .alignment import AlignedPair, AlignmentResult, align, align_hirschberg
+from .alignment import AlignedPair, AlignmentResult, align
 from .cost_model import CostModel, MergeDecision
 from .fmsa import FMSAMerger, FMSAOptions
 from .salssa import (

@@ -3,24 +3,24 @@
 This is the alignment stage shared by FMSA and SalSSA (paper §2): a global
 alignment of the two entry sequences that maximises the number of matched
 pairs, where a pair may only match if :func:`repro.merge.matching.entries_match`
-allows it (binary scoring, no substitutions).
+allows it (binary scoring, no substitutions, no gap penalty).
 
-The classic dynamic program is quadratic in both time and memory; the module
-records the number of DP cells allocated so the memory experiments
-(paper §5.5, Figure 22) can attribute memory to sequence length.  A
-linear-space variant (Hirschberg) is provided as well and used for an ablation
-benchmark.
+With that scoring the alignment score is twice the longest common subsequence
+of the two sequences under the match relation, and the relation is an
+equivalence on :func:`repro.merge.matching.entry_key`.  So the dynamic
+program runs bit-parallel (Allison–Dix / Hyyrö): one machine-word-packed row
+vector per entry of the first sequence, computed from one bitmask over the
+second sequence per match key.  The traceback reads any score cell from those
+rows and breaks ties exactly as the textbook quadratic table does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence
 
-from .linearize import Entry, InstructionEntry, LabelEntry
-from .matching import entries_match
-
-MatchPredicate = Callable[[Entry, Entry], bool]
+from .linearize import Entry
+from .matching import entry_key
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,13 @@ class AlignedPair:
 
 @dataclass
 class AlignmentResult:
-    """The alignment plus the statistics the evaluation harness reports."""
+    """The alignment plus the statistics the evaluation harness reports.
+
+    ``dp_cells`` counts the logical cells of the Needleman–Wunsch table,
+    ``(len(a) + 1) * (len(b) + 1)``, which is what the memory experiments
+    (paper §5.5, Figure 22) attribute to sequence length; the bit-parallel
+    rows actually store one bit per cell.
+    """
 
     pairs: List[AlignedPair]
     matches: int
@@ -57,106 +63,57 @@ class AlignmentResult:
         return [p for p in self.pairs if p.is_match]
 
 
-def align(sequence_a: Sequence[Entry], sequence_b: Sequence[Entry],
-          match: MatchPredicate = entries_match,
-          match_score: int = 2, gap_penalty: int = 0) -> AlignmentResult:
+def align(sequence_a: Sequence[Entry], sequence_b: Sequence[Entry]) -> AlignmentResult:
     """Globally align two entry sequences with Needleman–Wunsch.
 
     Only matching entries may be paired; every other entry is emitted against
-    a gap.  ``match_score``/``gap_penalty`` follow the binary scoring of the
-    original FMSA formulation.
+    a gap.  Where several alignments score the same, the traceback from the
+    last cell prefers a match, then a gap in the second sequence, then a gap
+    in the first.
     """
-    rows = len(sequence_a) + 1
-    cols = len(sequence_b) + 1
-    negative_infinity = float("-inf")
+    keys_a = [entry_key(entry) for entry in sequence_a]
+    keys_b = [entry_key(entry) for entry in sequence_b]
+    n, m = len(keys_a), len(keys_b)
 
-    # score[i][j]: best score aligning a[:i] with b[:j]
-    score = [[0] * cols for _ in range(rows)]
-    for i in range(1, rows):
-        score[i][0] = score[i - 1][0] - gap_penalty
-    for j in range(1, cols):
-        score[0][j] = score[0][j - 1] - gap_penalty
+    masks: Dict[Hashable, int] = {}
+    for j, key in enumerate(keys_b):
+        if key is not None:
+            masks[key] = masks.get(key, 0) | (1 << j)
 
-    for i in range(1, rows):
-        entry_a = sequence_a[i - 1]
-        row = score[i]
-        above = score[i - 1]
-        for j in range(1, cols):
-            entry_b = sequence_b[j - 1]
-            diagonal = negative_infinity
-            if match(entry_a, entry_b):
-                diagonal = above[j - 1] + match_score
-            best = above[j] - gap_penalty
-            left = row[j - 1] - gap_penalty
-            if left > best:
-                best = left
-            if diagonal > best:
-                best = diagonal
-            row[j] = best
+    # rows[i] bit j is 0 iff S[i][j+1] = S[i][j] + 1, where S[i][j] is the
+    # number of matches aligning a[:i] with b[:j]; so S[i][j] is the count of
+    # zero bits of rows[i] below bit j.
+    full = (1 << m) - 1
+    rows = [full]
+    row = full
+    for key in keys_a:
+        matched = row & masks.get(key, 0)
+        row = ((row + matched) | (row - matched)) & full
+        rows.append(row)
 
     pairs: List[AlignedPair] = []
-    matches = 0
-    i, j = rows - 1, cols - 1
+    i, j = n, m
+    score = m - row.bit_count()
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and match(sequence_a[i - 1], sequence_b[j - 1]) \
-                and score[i][j] == score[i - 1][j - 1] + match_score:
-            pairs.append(AlignedPair(sequence_a[i - 1], sequence_b[j - 1]))
-            matches += 1
-            i -= 1
-            j -= 1
-        elif i > 0 and score[i][j] == score[i - 1][j] - gap_penalty:
-            pairs.append(AlignedPair(sequence_a[i - 1], None))
-            i -= 1
-        else:
-            pairs.append(AlignedPair(None, sequence_b[j - 1]))
-            j -= 1
+        if i > 0:
+            above = rows[i - 1]
+            up = j - (above & ((1 << j) - 1)).bit_count()
+            if j > 0 and keys_a[i - 1] is not None and keys_a[i - 1] == keys_b[j - 1]:
+                diagonal = up - 1 + (above >> (j - 1) & 1)
+                if score == diagonal + 1:
+                    pairs.append(AlignedPair(sequence_a[i - 1], sequence_b[j - 1]))
+                    score = diagonal
+                    i -= 1
+                    j -= 1
+                    continue
+            if score == up:
+                pairs.append(AlignedPair(sequence_a[i - 1], None))
+                i -= 1
+                continue
+        score -= 1 - (rows[i] >> (j - 1) & 1)
+        pairs.append(AlignedPair(None, sequence_b[j - 1]))
+        j -= 1
     pairs.reverse()
 
-    return AlignmentResult(pairs, matches, len(sequence_a), len(sequence_b), rows * cols)
-
-
-def align_hirschberg(sequence_a: Sequence[Entry], sequence_b: Sequence[Entry],
-                     match: MatchPredicate = entries_match,
-                     match_score: int = 2, gap_penalty: int = 0) -> AlignmentResult:
-    """Linear-space alignment (Hirschberg).  Same result quality, O(min(n,m))
-    memory — used by the memory-ablation benchmark."""
-    pairs = _hirschberg(list(sequence_a), list(sequence_b), match, match_score, gap_penalty)
-    matches = sum(1 for p in pairs if p.is_match)
-    cells = 2 * (len(sequence_b) + 1)
-    return AlignmentResult(pairs, matches, len(sequence_a), len(sequence_b), cells)
-
-
-def _nw_score_last_row(a: List[Entry], b: List[Entry], match: MatchPredicate,
-                       match_score: int, gap_penalty: int) -> List[float]:
-    previous = [-gap_penalty * j for j in range(len(b) + 1)]
-    for i in range(1, len(a) + 1):
-        current = [previous[0] - gap_penalty] + [0.0] * len(b)
-        for j in range(1, len(b) + 1):
-            diagonal = float("-inf")
-            if match(a[i - 1], b[j - 1]):
-                diagonal = previous[j - 1] + match_score
-            current[j] = max(diagonal, previous[j] - gap_penalty, current[j - 1] - gap_penalty)
-        previous = current
-    return previous
-
-
-def _hirschberg(a: List[Entry], b: List[Entry], match: MatchPredicate,
-                match_score: int, gap_penalty: int) -> List[AlignedPair]:
-    if not a:
-        return [AlignedPair(None, entry) for entry in b]
-    if not b:
-        return [AlignedPair(entry, None) for entry in a]
-    if len(a) == 1 or len(b) == 1:
-        return align(a, b, match, match_score, gap_penalty).pairs
-
-    mid = len(a) // 2
-    score_left = _nw_score_last_row(a[:mid], b, match, match_score, gap_penalty)
-    score_right = _nw_score_last_row(list(reversed(a[mid:])), list(reversed(b)),
-                                     match, match_score, gap_penalty)
-    split, best = 0, float("-inf")
-    for j in range(len(b) + 1):
-        total = score_left[j] + score_right[len(b) - j]
-        if total > best:
-            best, split = total, j
-    return (_hirschberg(a[:mid], b[:split], match, match_score, gap_penalty)
-            + _hirschberg(a[mid:], b[split:], match, match_score, gap_penalty))
+    matches = m - rows[n].bit_count()
+    return AlignmentResult(pairs, matches, n, m, (n + 1) * (m + 1))

@@ -9,11 +9,16 @@ for — but mismatching operand *types* are not.
 Labels match labels (any pair), except labels of landing-pad blocks which are
 kept exclusive so the Itanium landing-pad model is preserved by construction.
 Phi-nodes and landing pads never match (paper §4.1.1 and §4.2.2).
+
+The criteria are written once, as a match key per entry (:func:`entry_key`):
+two entries match iff their keys are equal and not None.  Matching is thus an
+equivalence on keyed entries, which is what lets the alignment bucket the
+second sequence by key instead of testing every pair.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Optional
 
 from ..ir.basic_block import BasicBlock
 from ..ir.instructions import (
@@ -35,7 +40,7 @@ from ..ir.instructions import (
     SwitchInst,
     UnreachableInst,
 )
-from .linearize import Entry, InstructionEntry, LabelEntry
+from .linearize import Entry, LabelEntry
 
 
 def is_landing_block(block: BasicBlock) -> bool:
@@ -51,80 +56,55 @@ def labels_match(block_a: BasicBlock, block_b: BasicBlock) -> bool:
     return not is_landing_block(block_a) and not is_landing_block(block_b)
 
 
+def instruction_key(inst: Instruction) -> Optional[Hashable]:
+    """The match class of an instruction (paper's mergeable pairs).
+
+    Two instructions may be merged into one iff their keys are equal and not
+    None: the key holds the instruction class, the result type and every
+    operand property the merge needs to agree on.
+    """
+    if isinstance(inst, (PhiInst, LandingPadInst)):
+        return None
+    kind = type(inst)
+    if isinstance(inst, BinaryInst):
+        return kind, inst.type, inst.opcode, inst.lhs.type
+    if isinstance(inst, CmpInst):
+        return kind, inst.type, inst.predicate, inst.lhs.type
+    if isinstance(inst, CastInst):
+        return kind, inst.type, inst.opcode, inst.value.type
+    if isinstance(inst, SelectInst):
+        return kind, inst.type, inst.if_true.type
+    if isinstance(inst, AllocaInst):
+        return kind, inst.type, inst.allocated_type
+    if isinstance(inst, LoadInst):
+        return kind, inst.type, inst.pointer.type
+    if isinstance(inst, StoreInst):
+        return kind, inst.type, inst.value.type, inst.pointer.type
+    if isinstance(inst, GEPInst):
+        return kind, inst.type, inst.pointer.type, tuple(x.type for x in inst.indices)
+    if isinstance(inst, InvokeInst):
+        # Matched invokes must have landing pads of the same type so a single
+        # intermediate landing pad can serve both (paper §4.2.2).
+        pad = _landingpad_of(inst)
+        return (kind, inst.type, tuple(x.type for x in inst.args),
+                None if pad is None else pad.type)
+    if isinstance(inst, CallInst):
+        return kind, inst.type, tuple(x.type for x in inst.args)
+    if isinstance(inst, BranchInst):
+        return kind, inst.type, inst.is_conditional
+    if isinstance(inst, SwitchInst):
+        return kind, inst.type, inst.condition.type, len(inst.cases())
+    if isinstance(inst, ReturnInst):
+        return kind, inst.type, None if inst.value is None else inst.value.type
+    if isinstance(inst, UnreachableInst):
+        return kind, inst.type
+    return None
+
+
 def instructions_match(inst_a: Instruction, inst_b: Instruction) -> bool:
     """Whether two instructions may be merged into one (paper's mergeable pairs)."""
-    if type(inst_a) is not type(inst_b):
-        return False
-    if isinstance(inst_a, (PhiInst, LandingPadInst)):
-        return False
-    if inst_a.type != inst_b.type:
-        return False
-
-    if isinstance(inst_a, BinaryInst):
-        return inst_a.opcode == inst_b.opcode and inst_a.lhs.type == inst_b.lhs.type
-
-    if isinstance(inst_a, CmpInst):
-        return (inst_a.predicate == inst_b.predicate
-                and inst_a.lhs.type == inst_b.lhs.type)
-
-    if isinstance(inst_a, CastInst):
-        return inst_a.opcode == inst_b.opcode and inst_a.value.type == inst_b.value.type
-
-    if isinstance(inst_a, SelectInst):
-        return inst_a.if_true.type == inst_b.if_true.type
-
-    if isinstance(inst_a, AllocaInst):
-        return inst_a.allocated_type == inst_b.allocated_type
-
-    if isinstance(inst_a, LoadInst):
-        return inst_a.pointer.type == inst_b.pointer.type
-
-    if isinstance(inst_a, StoreInst):
-        return (inst_a.value.type == inst_b.value.type
-                and inst_a.pointer.type == inst_b.pointer.type)
-
-    if isinstance(inst_a, GEPInst):
-        return (inst_a.pointer.type == inst_b.pointer.type
-                and len(inst_a.indices) == len(inst_b.indices)
-                and all(x.type == y.type for x, y in zip(inst_a.indices, inst_b.indices)))
-
-    if isinstance(inst_a, InvokeInst):
-        return (len(inst_a.args) == len(inst_b.args)
-                and all(x.type == y.type for x, y in zip(inst_a.args, inst_b.args))
-                and _landingpad_types_compatible(inst_a, inst_b))
-
-    if isinstance(inst_a, CallInst):
-        return (len(inst_a.args) == len(inst_b.args)
-                and all(x.type == y.type for x, y in zip(inst_a.args, inst_b.args)))
-
-    if isinstance(inst_a, BranchInst):
-        if inst_a.is_conditional != inst_b.is_conditional:
-            return False
-        return True
-
-    if isinstance(inst_a, SwitchInst):
-        return (inst_a.condition.type == inst_b.condition.type
-                and len(inst_a.cases()) == len(inst_b.cases()))
-
-    if isinstance(inst_a, ReturnInst):
-        if (inst_a.value is None) != (inst_b.value is None):
-            return False
-        return inst_a.value is None or inst_a.value.type == inst_b.value.type
-
-    if isinstance(inst_a, UnreachableInst):
-        return True
-
-    return False
-
-
-def _landingpad_types_compatible(invoke_a: InvokeInst, invoke_b: InvokeInst) -> bool:
-    """Matched invokes must have landing pads of the same type so a single
-    intermediate landing pad can serve both (paper §4.2.2)."""
-    pad_a = _landingpad_of(invoke_a)
-    pad_b = _landingpad_of(invoke_b)
-    if pad_a is None or pad_b is None:
-        return pad_a is pad_b
-    return pad_a.type == pad_b.type
+    key = instruction_key(inst_a)
+    return key is not None and key == instruction_key(inst_b)
 
 
 def _landingpad_of(invoke: InvokeInst) -> Optional[LandingPadInst]:
@@ -138,10 +118,22 @@ def _landingpad_of(invoke: InvokeInst) -> Optional[LandingPadInst]:
     return None
 
 
+#: The match key of every label outside a landing block.
+_LABEL_KEY = "label"
+
+
+def entry_key(entry: Entry) -> Optional[Hashable]:
+    """The match class of a linearised entry; None matches nothing.
+
+    Labels match labels (except landing blocks); instructions match through
+    :func:`instruction_key`; a label never matches an instruction.
+    """
+    if isinstance(entry, LabelEntry):
+        return None if is_landing_block(entry.block) else _LABEL_KEY
+    return instruction_key(entry.instruction)
+
+
 def entries_match(entry_a: Entry, entry_b: Entry) -> bool:
     """Alignment match predicate over linearised entries."""
-    if isinstance(entry_a, LabelEntry) and isinstance(entry_b, LabelEntry):
-        return labels_match(entry_a.block, entry_b.block)
-    if isinstance(entry_a, InstructionEntry) and isinstance(entry_b, InstructionEntry):
-        return instructions_match(entry_a.instruction, entry_b.instruction)
-    return False
+    key = entry_key(entry_a)
+    return key is not None and key == entry_key(entry_b)

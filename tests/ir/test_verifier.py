@@ -40,6 +40,17 @@ class TestAccepts:
 
 
 class TestRejects:
+    @pytest.mark.parametrize("rename", ["arg", "block", "instruction"])
+    def test_duplicate_local_name(self, rename):
+        f = simple_function()
+        inst = f.entry_block.instructions[0]
+        inst.name = "x"
+        target = {"arg": f.args[0], "block": f.entry_block,
+                  "instruction": f.entry_block.instructions[1]}[rename]
+        target.name = "x"
+        errors = verify_function(f, raise_on_error=False)
+        assert errors == ["@f: duplicate local name %x"]
+
     def test_missing_terminator(self):
         f = Function(FunctionType(I32, (I32,)), "f")
         entry = f.add_block("entry")

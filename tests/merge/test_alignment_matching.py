@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import parse_module
-from repro.merge.alignment import align, align_hirschberg
+from repro.merge.alignment import align
 from repro.merge.linearize import InstructionEntry, LabelEntry, linearize, sequence_length
 from repro.merge.matching import entries_match, instructions_match, labels_match
 
@@ -97,6 +97,35 @@ class TestMatching:
         assert labels_match(blocks["entry"], blocks["ok"])
         assert not labels_match(blocks["entry"], blocks["pad"])
 
+    def test_invokes_match_only_with_same_landing_pad_type(self):
+        module = parse_module("""
+        declare i32 @ext(i32)
+        define i32 @f(i32 %x) {
+        entry:
+          %a = invoke i32 @ext(i32 %x) to label %ok unwind label %pad32
+        ok:
+          %b = invoke i32 @ext(i32 %a) to label %done unwind label %pad64
+        done:
+          %c = invoke i32 @ext(i32 %b) to label %end unwind label %other32
+        end:
+          ret i32 %c
+        pad32:
+          %p = landingpad i32 cleanup
+          ret i32 0
+        pad64:
+          %q = landingpad i64 cleanup
+          ret i32 1
+        other32:
+          %r = landingpad i32 cleanup
+          ret i32 2
+        }
+        """)
+        f = module.get_function("f")
+        a, b, c = (f.value_by_name(name) for name in ("a", "b", "c"))
+        assert instructions_match(a, c)
+        assert not instructions_match(a, b)
+        assert not instructions_match(b, c)
+
     def test_entries_match_requires_same_kind(self, module):
         f1 = module.get_function("f1")
         label = LabelEntry(f1.entry_block)
@@ -142,14 +171,3 @@ class TestAlignment:
     def test_empty_sequences(self):
         result = align([], [])
         assert result.pairs == [] and result.matches == 0
-
-    def test_hirschberg_matches_quality_with_linear_memory(self, module):
-        f1 = module.get_function("f1")
-        f2 = module.get_function("f2")
-        seq1, seq2 = linearize(f1), linearize(f2)
-        quadratic = align(seq1, seq2)
-        linear = align_hirschberg(seq1, seq2)
-        assert linear.matches == quadratic.matches
-        assert linear.dp_cells < quadratic.dp_cells
-        for pair in linear.matched_pairs():
-            assert entries_match(pair.first, pair.second)
