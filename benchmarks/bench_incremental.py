@@ -87,7 +87,6 @@ def incremental_comparison(sizes):
             "digests_match": merge_report_digest(warm.report)
             == merge_report_digest(cold.report),
         })
-        state.close()
     return rows
 
 

@@ -1,20 +1,17 @@
 """The resident merge service: warm-job latency and batch digest parity.
 
 Not a paper figure — this benchmarks ``repro.service``, the daemon that
-keeps the worker pool, attempt caches and telemetry resident between jobs.
-Two claims are measured, per (technique, backend) cell:
+keeps pipeline state, attempt caches and telemetry resident between jobs.
+Two claims are measured, per technique:
 
 1. **Parity** — every service job's report digest is bit-identical to a
    cold ``run_pipeline`` over the same module text, cold bootstrap and warm
-   patches alike ({salssa,fmsa} x {serial,process} swept below, asserted in
-   every mode);
+   patches alike (asserted for both salssa and fmsa);
 2. **Warm latency** — once a session is bootstrapped, a single-function
    patch job completes >= 5x faster than the cold batch run over the same
    edited module (the ISSUE's acceptance bar: asserted under
    ``REPRO_FULL=1`` at the 256-function acceptance size, reported
-   otherwise so starved CI runners cannot fail on timing noise) — with the
-   worker pool spawned exactly once per daemon lifetime (deterministic,
-   asserted in every mode that runs workers).
+   otherwise so starved CI runners cannot fail on timing noise).
 
 ``REPRO_SMOKE=1`` shrinks the sweep to one small module; ``REPRO_TREND=1``
 appends p50/p95 latency, jobs/sec and the warm-vs-cold ratio so
@@ -43,8 +40,8 @@ SIZES = (48,) if SMOKE else ((128, 256) if FULL else (128,))
 ACCEPTANCE_SIZE = 256
 MIN_WARM_SPEEDUP = 5.0
 
-#: Parity sweep cells: technique x worker-pool shape.
-MATRIX = (("salssa", 0), ("salssa", 2), ("fmsa", 0), ("fmsa", 2))
+#: Parity sweep cells.
+TECHNIQUES = ("salssa", "fmsa")
 
 #: Warm patch jobs per session (latency sample size).
 WARM_JOBS = 3
@@ -72,10 +69,10 @@ def _edit_stream(size, seed, edits):
 def service_comparison(sizes):
     rows = []
     for size in sizes:
-        for technique, workers in MATRIX:
-            snapshots, patches = _edit_stream(size, seed=size + workers,
+        for technique in TECHNIQUES:
+            snapshots, patches = _edit_stream(size, seed=size,
                                               edits=WARM_JOBS)
-            with MergeService(workers=workers) as service:
+            with MergeService() as service:
                 with ServiceClient(service.host, service.port,
                                    timeout=600.0) as client:
                     cold_started = time.perf_counter()
@@ -106,13 +103,11 @@ def service_comparison(sizes):
             rows.append({
                 "num_functions": size,
                 "technique": technique,
-                "workers": workers,
                 "cold_job_seconds": cold_job_seconds,
                 "warm_p50_seconds": warm_p50,
                 "batch_seconds": batch_seconds,
                 "warm_cold_ratio": batch_seconds / warm_p50
                 if warm_p50 else 0.0,
-                "pool_spawns": responses[-1]["pool_spawns"],
                 "digests_match": digests_match,
             })
     return rows
@@ -122,16 +117,15 @@ def test_service_warm_latency_and_parity(benchmark):
     rows = run_once(benchmark, service_comparison, SIZES)
     print()
     for row in rows:
-        print(f"  {row['num_functions']:4d} fns {row['technique']:<6} "
-              f"workers={row['workers']}: warm p50 "
+        print(f"  {row['num_functions']:4d} fns {row['technique']:<6}: "
+              f"warm p50 "
               f"{row['warm_p50_seconds']:.3f}s vs batch "
               f"{row['batch_seconds']:.3f}s "
               f"({row['warm_cold_ratio']:.1f}x), "
-              f"spawns={row['pool_spawns']}, "
               f"digests_match={row['digests_match']}")
     largest = max(SIZES)
     newest = next(r for r in rows if r["num_functions"] == largest
-                  and r["technique"] == "salssa" and r["workers"] == 2)
+                  and r["technique"] == "salssa")
     benchmark.extra_info["warm_cold_ratio"] = round(
         newest["warm_cold_ratio"], 2)
     append_trend(
@@ -139,17 +133,12 @@ def test_service_warm_latency_and_parity(benchmark):
         warm_cold_ratio=round(newest["warm_cold_ratio"], 3),
         warm_p50_seconds=round(newest["warm_p50_seconds"], 5),
         batch_seconds=round(newest["batch_seconds"], 5),
-        pool_spawns=newest["pool_spawns"],
         digests_match=all(r["digests_match"] for r in rows))
 
     # Bit-identity with batch runs is the contract: every cell, every mode.
     for row in rows:
         assert row["digests_match"], \
             f"service and batch reports diverged: {row}"
-    # Workers must be spawned exactly once per daemon lifetime.
-    for row in rows:
-        if row["workers"]:
-            assert row["pool_spawns"] == 1, row
     # The latency bar binds only at the acceptance size (FULL runs).
     for row in rows:
         if row["num_functions"] >= ACCEPTANCE_SIZE:

@@ -7,7 +7,7 @@ series back and failing CI when a tracked metric regresses.  For every
 ``(bench, context)`` series it compares the newest row against the trailing
 median of the prior rows:
 
-* **Context** fields (module size, strategy, worker count, ``host_cpus``)
+* **Context** fields (module size, strategy, session count, ``host_cpus``)
   key the series — rows measured under different configurations, or on CI
   hosts with different CPU counts, never compare against each other.
 * **Deterministic** metrics (recall, construction ratios, hit rates,
@@ -68,8 +68,8 @@ class BenchPolicy:
 
 #: One entry per bench that appends trend rows.  Context fields must identify
 #: the configuration well enough that rows in one series are comparable:
-#: ``host_cpus`` is context for the parallel bench because a 2-CPU CI runner
-#: can never reproduce a 16-CPU workstation's speedup.
+#: ``host_cpus`` is context for the load-generator lane because a 2-CPU CI
+#: runner can never reproduce a 16-CPU workstation's throughput.
 POLICIES: Dict[str, BenchPolicy] = {
     "candidate_search": BenchPolicy(
         context=("num_functions", "strategy"),
@@ -79,13 +79,6 @@ POLICIES: Dict[str, BenchPolicy] = {
             "scan_fraction": MetricPolicy("lower", 0.10, abs_slack=0.01),
             "speedup": MetricPolicy("higher", 0.25, advisory=True),
         }),
-    "parallel_ranking": BenchPolicy(
-        context=("num_functions", "workers", "host_cpus"),
-        metrics={
-            "speedup": MetricPolicy("higher", 0.25, advisory=True),
-        }),
-    "parallel_pipeline_parity": BenchPolicy(
-        context=("num_functions", "cells")),
     "analysis_cache": BenchPolicy(
         context=("num_functions",),
         metrics={
@@ -130,9 +123,8 @@ POLICIES: Dict[str, BenchPolicy] = {
         }),
     "service": BenchPolicy(
         # Warm-vs-cold ratio and latencies are wall-clock (advisory on
-        # noisy runners); pool_spawns is deterministic — more than one
-        # spawn generation per daemon lifetime means residency broke; the
-        # digests_match correctness bit fails immediately as always.
+        # noisy runners); the digests_match correctness bit fails
+        # immediately as always.
         context=("num_functions",),
         metrics={
             "warm_cold_ratio": MetricPolicy("higher", 0.25, advisory=True),
@@ -140,7 +132,6 @@ POLICIES: Dict[str, BenchPolicy] = {
                                              advisory=True),
             "batch_seconds": MetricPolicy("lower", 0.25, abs_slack=0.05,
                                           advisory=True),
-            "pool_spawns": MetricPolicy("lower", 0.0, abs_slack=0.0),
         }),
     "service_load": BenchPolicy(
         # Open-loop load-generator lane: throughput/latency are wall-clock

@@ -92,7 +92,6 @@ def main() -> int:
     print("smoke_run_ledger: incremental re-run (ledger attached)")
     warm = run_pipeline_incremental(module, state, benchmark="smoke",
                                     run_ledger=LEDGER_OUT)
-    state.close()
 
     print("smoke_run_ledger: cold run of the edited module "
           "(ledger + rotating event sink)")

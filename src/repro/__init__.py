@@ -14,8 +14,6 @@ The package is organised as follows:
 * :mod:`repro.search` — scalable candidate-search indexes for the merge pass.
 * :mod:`repro.persist` — a content-addressed on-disk artifact store that
   warm-starts repeated pipeline runs.
-* :mod:`repro.parallel` — a worker-pool execution engine for the pipeline's
-  read-only phases (candidate ranking and alignment scoring).
 * :mod:`repro.obs` — the telemetry spine: a unified metrics registry,
   phase-scoped span tracing and Prometheus/JSON exporters.
 * :mod:`repro.harness` — the experiment pipeline that regenerates every table
@@ -25,4 +23,4 @@ The package is organised as follows:
 __version__ = "1.0.0"
 
 __all__ = ["ir", "analysis", "transforms", "merge", "workloads", "search",
-           "persist", "parallel", "obs", "harness"]
+           "persist", "obs", "harness"]

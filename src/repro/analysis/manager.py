@@ -90,9 +90,6 @@ class AnalysisStats:
     invalidations: int = 0
     #: Entries re-stamped by a transform's preservation declaration.
     preserved: int = 0
-    #: Entries injected from outside (e.g. results a ``repro.parallel``
-    #: worker pool computed) rather than queried into existence.
-    primed: int = 0
     #: Misses per analysis name (what was actually recomputed, and how often).
     computed_by_analysis: Dict[str, int] = field(default_factory=dict)
 
@@ -118,7 +115,6 @@ class AnalysisStats:
         self.misses += other.misses
         self.invalidations += other.invalidations
         self.preserved += other.preserved
-        self.primed += other.primed
         for name, count in other.computed_by_analysis.items():
             self.computed_by_analysis[name] = \
                 self.computed_by_analysis.get(name, 0) + count
@@ -131,7 +127,6 @@ class AnalysisStats:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "preserved": self.preserved,
-            "primed": self.primed,
             "hit_rate": self.hit_rate,
             "computed_by_analysis": dict(self.computed_by_analysis),
         }
@@ -257,25 +252,6 @@ class FunctionAnalysisManager:
             self._registry[name] = size_model.function_size
         return self.get(name, function)
 
-    # -------------------------------------------------------------- priming
-    def prime(self, name: str, function: Function, value: Any) -> None:
-        """Inject an externally computed result, stamped at the current epoch.
-
-        The entry behaves exactly like one :meth:`get` computed — valid until
-        the function mutates — but nothing is (re)computed and the persistent
-        tier is not written (the caller decides where external results get
-        persisted).  Used by ``repro.parallel`` to seed the cache with
-        worker-pool results; the injected value must equal what the
-        registered analysis would compute, or cached and uncached runs
-        diverge.
-        """
-        if name not in self._registry:
-            raise KeyError(f"unknown analysis {name!r}; registered: "
-                           f"{', '.join(sorted(self._registry))}")
-        per_function = self._cache.setdefault(function, {})
-        per_function[name] = (function.mutation_epoch, value)
-        self.stats.primed += 1
-
     # --------------------------------------------------------- invalidation
     def invalidate(self, function: Function,
                    names: Optional[Iterable[str]] = None) -> None:
@@ -389,9 +365,6 @@ class ModuleAnalysisManager:
 
     def function_size(self, function: Function, size_model) -> int:
         return self.functions.function_size(function, size_model)
-
-    def prime(self, name: str, function: Function, value: Any) -> None:
-        self.functions.prime(name, function, value)
 
     def invalidate(self, function: Function,
                    names: Optional[Iterable[str]] = None) -> None:

@@ -25,8 +25,7 @@ from ..ir.interpreter import run_function
 from ..ir.module import Module
 from ..ir.verifier import verify_module
 from ..merge.pass_manager import FunctionMergingPass, MergeReport
-from ..parallel import ParallelConfig, ParallelEngine, ParallelStats
-from ..persist import ArtifactStore, StoreStats
+from ..persist import StoreStats
 from ..search import SearchStrategy, make_index, topk_recall
 from ..search.stats import quality_recall
 from ..transforms.mem2reg import promote_module
@@ -140,9 +139,7 @@ def _reduction_experiment(suite_specs, suite_name: str, target: str,
                           techniques: Sequence[str], thresholds: Sequence[int],
                           benchmarks: Optional[Iterable[str]],
                           search_strategy: Union[str, SearchStrategy] = "exhaustive",
-                          cache_dir: Optional[str] = None,
-                          parallel_workers: int = 0,
-                          parallel_backend: str = "process"
+                          cache_dir: Optional[str] = None
                           ) -> ReductionResult:
     result = ReductionResult(suite_name, target)
     for spec in _select_benchmarks(suite_specs, benchmarks):
@@ -151,9 +148,7 @@ def _reduction_experiment(suite_specs, suite_name: str, target: str,
                 module = spec.build()
                 run = run_pipeline(module, spec.name, technique, threshold, target,
                                    search_strategy=search_strategy,
-                                   cache_dir=cache_dir,
-                                   parallel_workers=parallel_workers,
-                                   parallel_backend=parallel_backend)
+                                   cache_dir=cache_dir)
                 report = run.report
                 result.rows.append(ReductionRow(
                     spec.name, technique, threshold, run.reduction_percent,
@@ -167,34 +162,26 @@ def figure17_spec_reduction(suite: str = "spec2006",
                             thresholds: Sequence[int] = (1,),
                             benchmarks: Optional[Iterable[str]] = DEFAULT_SPEC_SUBSET,
                             search_strategy: Union[str, SearchStrategy] = "exhaustive",
-                            cache_dir: Optional[str] = None,
-                            parallel_workers: int = 0,
-                            parallel_backend: str = "process"
+                            cache_dir: Optional[str] = None
                             ) -> ReductionResult:
     """Linked-object size reduction over LTO on the SPEC-like suites (Fig. 17)."""
     return _reduction_experiment(get_suite(suite), suite, "x86_64",
                                  techniques, thresholds, benchmarks,
                                  search_strategy=search_strategy,
-                                 cache_dir=cache_dir,
-                                 parallel_workers=parallel_workers,
-                                 parallel_backend=parallel_backend)
+                                 cache_dir=cache_dir)
 
 
 def figure18_mibench_reduction(techniques: Sequence[str] = ("fmsa", "salssa"),
                                thresholds: Sequence[int] = (1,),
                                benchmarks: Optional[Iterable[str]] = DEFAULT_MIBENCH_SUBSET,
                                search_strategy: Union[str, SearchStrategy] = "exhaustive",
-                               cache_dir: Optional[str] = None,
-                               parallel_workers: int = 0,
-                               parallel_backend: str = "process"
+                               cache_dir: Optional[str] = None
                                ) -> ReductionResult:
     """Linked-object size reduction on the MiBench-like suite, ARM-Thumb model (Fig. 18)."""
     return _reduction_experiment(MIBENCH, "mibench", "arm_thumb",
                                  techniques, thresholds, benchmarks,
                                  search_strategy=search_strategy,
-                                 cache_dir=cache_dir,
-                                 parallel_workers=parallel_workers,
-                                 parallel_backend=parallel_backend)
+                                 cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -884,170 +871,6 @@ def warm_start_comparison(sizes: Sequence[int] = (128,),
                 fingerprints_computed=tracker.delta("Fingerprint"),
                 persist_stats=run.persist_stats,
                 report_digest=merge_report_digest(run.report)))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Parallel ranking: serial vs worker-pool execution of the read-only phases
-# ---------------------------------------------------------------------------
-
-def parallel_workload(num_functions: int, seed: int = 7,
-                      batch_size: int = 1024) -> Module:
-    """A clone-family module sized for the parallel ranking benchmarks.
-
-    Same population structure as :func:`search_workload` but with the larger
-    function bodies real post-demotion IR has (alignment cost is quadratic in
-    body length, so the ranking phase's compute density — and therefore what
-    a worker pool can win — depends on realistic sizes, not toy ones).
-    """
-    rng = random.Random(seed)
-    families: List[FamilySpec] = []
-    remaining = int(num_functions * 0.8)
-    while remaining >= 2:
-        family_size = min(rng.randint(2, 4), remaining)
-        families.append(FamilySpec(
-            size=family_size, divergence=0.07,
-            function_size=rng.choice((30, 45, 65, 95, 130))))
-        remaining -= family_size
-    spec = ProgramSpec(
-        name=f"parallel{num_functions}", seed=seed, families=families,
-        standalone_functions=num_functions - sum(f.size for f in families),
-        standalone_size=60, with_main=False)
-    module = generate_program_in_batches(spec, batch_size=batch_size)
-    simplify_module(module)
-    return module
-
-
-@dataclass
-class ParallelRankingRow:
-    """One (module size, backend) measurement of the ranking+scoring phase."""
-
-    num_functions: int
-    backend: str
-    workers: int
-    index_seconds: float
-    query_seconds: float
-    score_seconds: float
-    queries: int
-    pairs_scored: int
-    parallel_stats: Optional[ParallelStats]
-    ranking_digest: Tuple
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.index_seconds + self.query_seconds + self.score_seconds
-
-
-@dataclass
-class ParallelRankingResult:
-    """Serial-vs-process comparison rows of the ranking+scoring phase."""
-
-    top_k: int
-    rows: List[ParallelRankingRow] = field(default_factory=list)
-
-    def row(self, num_functions: int, backend: str) -> Optional[ParallelRankingRow]:
-        for row in self.rows:
-            if row.num_functions == num_functions and row.backend == backend:
-                return row
-        return None
-
-    def speedup(self, num_functions: int, backend: str = "process") -> float:
-        """Wall-clock speedup of ``backend`` over the serial reference."""
-        serial = self.row(num_functions, "serial")
-        measured = self.row(num_functions, backend)
-        if serial is None or measured is None or measured.wall_seconds <= 0:
-            return 0.0
-        return serial.wall_seconds / measured.wall_seconds
-
-    def digests_match(self, num_functions: int) -> bool:
-        digests = {row.ranking_digest for row in self.rows
-                   if row.num_functions == num_functions}
-        return len(digests) == 1
-
-
-def parallel_ranking_comparison(sizes: Sequence[int] = (256,),
-                                workers: int = 4,
-                                backends: Sequence[str] = ("serial", "process"),
-                                top_k: int = 5,
-                                strategy: Union[str, SearchStrategy] = "minhash_lsh",
-                                target: str = "x86_64",
-                                cache_dir: Optional[str] = None,
-                                seed: int = 7) -> ParallelRankingResult:
-    """Run the read-only ranking+scoring phase once per backend and compare.
-
-    The phase is the merge pipeline's parallel hot path end to end: index
-    construction (fingerprints + MinHash signatures), a ``candidates_for``
-    query for every indexed function, and alignment + cost-model
-    profitability scoring of every query's top-``top_k`` candidate pairs —
-    exactly the per-candidate work the merge pass performs before its serial
-    commit, at the paper's exploration threshold (``top_k=5`` by default).
-    Every backend runs it over an identically regenerated module
-    (:func:`parallel_workload`); the per-backend *ranking digest* — every
-    query's ranked answer plus every pair's score — must be bit-identical,
-    which is the determinism bar ``bench_parallel.py`` asserts.  With
-    ``cache_dir`` each (size, backend) cell gets its own cold store subtree,
-    so backends are compared cold-for-cold.
-    """
-    size_model = get_target(target)
-    result = ParallelRankingResult(top_k=top_k)
-    for num_functions in sizes:
-        for backend in backends:
-            module = parallel_workload(num_functions, seed=seed)
-            store = None
-            if cache_dir is not None:
-                store = ArtifactStore(os.path.join(
-                    cache_dir, f"size{num_functions}", backend))
-            engine = ParallelEngine(ParallelConfig(backend=backend,
-                                                   workers=workers))
-            started = time.perf_counter()
-            precomputed = engine.precompute_index_artifacts(
-                module, strategy, min_size=3, store=store)
-            index = make_index(module, strategy, min_size=3,
-                               artifact_store=store, precomputed=precomputed)
-            index_seconds = time.perf_counter() - started
-
-            queries = index.functions_by_size()
-            started = time.perf_counter()
-            answers = engine.prefetch_candidates(index, queries, top_k)
-            query_seconds = time.perf_counter() - started
-
-            seen_pairs = set()
-            pairs = []
-            for function in queries:
-                answer = answers.get(function)
-                for candidate in answer.candidates if answer else ():
-                    partner = candidate.function
-                    key = tuple(sorted((function.name, partner.name)))
-                    if key not in seen_pairs:
-                        seen_pairs.add(key)
-                        pairs.append((function, partner))
-            started = time.perf_counter()
-            scores = engine.score_pairs(pairs, size_model)
-            score_seconds = time.perf_counter() - started
-            engine.close()
-
-            answered = {function: answer.candidates
-                        for function, answer in answers.items()}
-            digest = (
-                tuple((function.name,
-                       tuple((candidate.function.name, candidate.distance)
-                             for candidate in answered.get(function, ())))
-                      for function in queries),
-                tuple((score.first, score.second, score.matches,
-                       score.dp_cells, score.benefit, score.profitable)
-                      for score in scores),
-            )
-            result.rows.append(ParallelRankingRow(
-                num_functions=num_functions,
-                backend=backend,
-                workers=engine.pool.workers,
-                index_seconds=index_seconds,
-                query_seconds=query_seconds,
-                score_seconds=score_seconds,
-                queries=len(queries),
-                pairs_scored=len(pairs),
-                parallel_stats=engine.stats,
-                ranking_digest=digest))
     return result
 
 

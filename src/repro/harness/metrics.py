@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..analysis.manager import AnalysisStats
-from ..parallel.stats import ParallelStats
 from ..persist import StoreStats
 from ..search.stats import SearchStats
 
@@ -131,17 +130,6 @@ def combine_store_stats(stats: Iterable[Optional[StoreStats]]) -> StoreStats:
     experiment is safe and never double-counts.
     """
     return _merge_distinct(StoreStats(), stats)
-
-
-def combine_parallel_stats(stats: Iterable[Optional[ParallelStats]]
-                           ) -> ParallelStats:
-    """Roll per-run worker-pool counters up into one aggregate.
-
-    Accepts the ``parallel_stats`` of many pipeline results (``None`` entries
-    — runs without a worker engine — are skipped, and aliases of one stats
-    object count once), mirroring :func:`combine_search_stats`.
-    """
-    return _merge_distinct(ParallelStats(), stats)
 
 
 def speedup(reference_seconds: float, measured_seconds: float) -> float:

@@ -20,7 +20,6 @@ from ..incremental import IncrementalConfig, IncrementalStats, ModuleDelta, \
 from ..obs import EventLog, MetricsRegistry, as_registry, attach_events, \
     attach_run_ledger, cached_bucket_overrides, maybe_span, \
     observe_incremental_stats, observe_pipeline_result, record_pipeline_run
-from ..parallel.stats import ParallelStats
 from ..persist import ArtifactStore, PersistentAnalysisCache, StoreStats
 from ..search import SearchStrategy
 from ..ir.module import Module
@@ -54,9 +53,6 @@ class PipelineResult:
     #: Hit/miss/load/store counters of the content-addressed artifact store
     #: (None when the run had no ``cache_dir`` — the always-cold default).
     persist_stats: Optional[StoreStats] = None
-    #: Worker-pool counters of the merge pass (None when the run had no
-    #: engine — ``parallel_workers=0``, the serial default).
-    parallel_stats: Optional[ParallelStats] = None
     #: The run's unified telemetry (see :mod:`repro.obs`): every stats view
     #: above folded into one registry, plus phase spans and timers.  None
     #: unless ``run_pipeline`` was called with ``metrics=``; export with
@@ -104,10 +100,7 @@ def baseline_compile(module: Module,
 def make_pass_options(technique: str, threshold: int, size_model: SizeModel,
                       phi_coalescing: bool = True,
                       search_strategy: Union[str, SearchStrategy] = "exhaustive",
-                      cache_dir: Optional[str] = None,
-                      parallel_workers: int = 0,
-                      parallel_backend: str = "process",
-                      parallel_persistent: bool = False
+                      cache_dir: Optional[str] = None
                       ) -> MergePassOptions:
     """Build pass options for one experimental configuration."""
     return MergePassOptions(
@@ -117,31 +110,51 @@ def make_pass_options(technique: str, threshold: int, size_model: SizeModel,
         size_model=size_model,
         salssa=SalSSAOptions(phi_coalescing=phi_coalescing),
         cache_dir=cache_dir,
-        parallel_workers=parallel_workers,
-        parallel_backend=parallel_backend,
-        parallel_persistent=parallel_persistent,
     )
 
 
-def _pipeline_registry(metrics, tuned_buckets: bool
+def _pipeline_registry(metrics, events, run_ledger
                        ) -> Optional[MetricsRegistry]:
-    """Coerce a ``metrics=`` argument, applying trend-tuned histogram
-    ladders to registries the *pipeline* creates (``True``/``"deep"``).
+    """The run's registry: ``metrics=`` coerced, with ``events=`` and
+    ``run_ledger=`` attached (each needs a registry to ride on, so either
+    creates a plain one when ``metrics`` is off).
 
     An explicitly passed registry is used as-is — its owner already chose
-    its ladders.  ``tuned_buckets=False`` is the opt-out; with no usable
-    quantile history in ``benchmarks/trend.jsonl``,
+    its ladders.  Registries the pipeline creates get trend-tuned histogram
+    ladders; with no usable quantile history in ``benchmarks/trend.jsonl``,
     :func:`~repro.obs.cached_bucket_overrides` returns ``{}`` and behaviour
     is byte-for-byte the untuned default.
     """
-    if metrics is None or isinstance(metrics, MetricsRegistry):
-        return as_registry(metrics)
-    if metrics is not True and metrics != "deep":
-        return as_registry(metrics)  # reuse its TypeError message
-    overrides = cached_bucket_overrides() if tuned_buckets else {}
-    deep = metrics == "deep"
-    return MetricsRegistry(trace_memory=deep, deep=deep,
-                           bucket_overrides=overrides or None)
+    wants_events = events is not None and events is not False
+    if isinstance(metrics, MetricsRegistry):
+        registry = metrics
+    elif metrics is None and not wants_events and run_ledger is None:
+        return None
+    elif metrics is None or metrics is True or metrics == "deep":
+        deep = metrics == "deep"
+        registry = MetricsRegistry(
+            trace_memory=deep, deep=deep,
+            bucket_overrides=cached_bucket_overrides() or None)
+    else:
+        return as_registry(metrics)  # raises its TypeError
+    try:
+        if wants_events:
+            attach_events(registry, events)
+        if run_ledger is not None:
+            attach_run_ledger(registry, run_ledger)
+    except BaseException:
+        _close_owned(registry, metrics)
+        raise
+    return registry
+
+
+def _close_owned(registry: Optional[MetricsRegistry], metrics) -> None:
+    """Close a registry the pipeline created (``metrics=True``/``"deep"``,
+    or one made for ``events``/``run_ledger``): nobody else can stop the
+    ``tracemalloc`` it may have started.  Closing never discards recorded
+    data, and a caller's own registry is left alone."""
+    if registry is not None and registry is not metrics:
+        registry.close()
 
 
 def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
@@ -153,26 +166,15 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                  analysis_caching: bool = True,
                  cache_dir: Optional[str] = None,
                  artifact_store: Optional[ArtifactStore] = None,
-                 parallel_workers: int = 0,
-                 parallel_backend: str = "process",
-                 parallel_persistent: bool = False,
                  metrics: Union[None, bool, str, MetricsRegistry] = None,
                  events: Union[None, bool, EventLog] = None,
-                 run_ledger=None,
-                 tuned_buckets: bool = True
+                 run_ledger=None
                  ) -> PipelineResult:
     """Run the full pipeline on ``module`` (which is consumed/mutated).
 
     ``technique`` may be ``"salssa"``, ``"fmsa"`` or ``"none"`` (baseline only).
     ``search_strategy`` selects the candidate index the merge pass queries;
     the default keeps the seed's exhaustive ranking.
-
-    ``parallel_workers`` (see :mod:`repro.parallel`) fans the merge pass's
-    read-only phases — index-artifact construction and candidate prefetch —
-    out over a worker pool (``parallel_backend``: ``"process"`` or the
-    in-process ``"serial"`` reference).  Codegen stays serial; results are
-    bit-identical at any worker count, only the wall-clock differs.  Worker
-    counters land on :attr:`PipelineResult.parallel_stats`.
 
     The pipeline owns a module-level :class:`ModuleAnalysisManager` shared by
     the clean-up transforms, the verifier, the merge pass, its cost model and
@@ -195,10 +197,13 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     ``"deep"`` one that additionally attributes net ``tracemalloc``
     allocation to every phase span, or pass a registry to accumulate several
     runs into one.  The registry is threaded through every layer — phase
-    spans, store/search/analysis hooks, per-worker registries merged back
-    deterministically — and surfaced on :attr:`PipelineResult.metrics` with
-    all the stats views above folded in.  Telemetry is purely observational:
-    reports and sizes are bit-identical with it on or off.
+    spans and store/search/analysis hooks — and surfaced on
+    :attr:`PipelineResult.metrics` with all the stats views above folded in.
+    Registries the pipeline creates get trend-tuned histogram ladders when
+    ``benchmarks/trend.jsonl`` carries enough quantile history per family,
+    and are closed when the run ends, whether it returns or raises.
+    Telemetry is purely observational: reports and sizes are bit-identical
+    with it on or off.
 
     ``events`` additionally turns on the flight recorder (see
     :mod:`repro.obs.events`): ``True`` attaches a fresh
@@ -215,109 +220,87 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     the ledger — query with ``repro-runs`` (see ``docs/runs.md``).  A
     registry that already carries a ledger (via
     :func:`~repro.obs.attach_run_ledger`) records without this argument.
-
-    ``tuned_buckets`` (default on) gives registries the pipeline creates
-    (``metrics=True``/``"deep"``) trend-tuned histogram ladders when
-    ``benchmarks/trend.jsonl`` carries enough quantile history per family;
-    pass ``False`` to keep the one-size default ladders.  Purely
-    observational either way.
     """
     size_model = get_target(target)
-    registry = _pipeline_registry(metrics, tuned_buckets)
-    if events is not None and events is not False:
-        if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
-        attach_events(registry, events)
-    if run_ledger is not None:
-        if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
-        attach_run_ledger(registry, run_ledger)
-    store = artifact_store
-    if store is None and cache_dir is not None:
-        store = ArtifactStore(cache_dir)
-    manager = analysis_manager
-    if manager is None and analysis_caching:
-        persistent = PersistentAnalysisCache(store) if store is not None else None
-        manager = ModuleAnalysisManager(module, persistent=persistent)
-    if registry is not None:
-        if store is not None:
-            store.attach_metrics(registry)
-        if manager is not None:
-            manager.attach_metrics(registry)
-    baseline_seconds = baseline_compile(module, manager, registry)
-    baseline_size = size_model.module_size(module)
-    baseline_instructions = module.num_instructions()
+    registry = _pipeline_registry(metrics, events, run_ledger)
+    try:
+        store = artifact_store
+        if store is None and cache_dir is not None:
+            store = ArtifactStore(cache_dir)
+        manager = analysis_manager
+        if manager is None and analysis_caching:
+            persistent = PersistentAnalysisCache(store) \
+                if store is not None else None
+            manager = ModuleAnalysisManager(module, persistent=persistent)
+        if registry is not None:
+            if store is not None:
+                store.attach_metrics(registry)
+            if manager is not None:
+                manager.attach_metrics(registry)
+        baseline_seconds = baseline_compile(module, manager, registry)
+        baseline_size = size_model.module_size(module)
+        baseline_instructions = module.num_instructions()
 
-    # A registry coerced here (metrics=True/"deep") has no outside owner to
-    # stop the tracemalloc it may have started — close it before returning
-    # (spans are complete by then; close never discards recorded data).
-    owns_registry = registry is not None \
-        and not isinstance(metrics, MetricsRegistry)
+        run_config = {
+            "target": target,
+            "phi_coalescing": phi_coalescing,
+            "search_strategy": search_strategy
+            if isinstance(search_strategy, str)
+            else type(search_strategy).__name__,
+        }
 
-    run_config = {
-        "target": target,
-        "phi_coalescing": phi_coalescing,
-        "search_strategy": search_strategy if isinstance(search_strategy, str)
-        else type(search_strategy).__name__,
-        "parallel_workers": parallel_workers,
-        "parallel_backend": parallel_backend,
-    }
+        if technique == "none":
+            result = PipelineResult(
+                benchmark, technique, threshold, baseline_size, baseline_size,
+                baseline_instructions, baseline_instructions,
+                baseline_seconds, 0.0,
+                analysis_stats=manager.stats if manager else None,
+                persist_stats=store.stats if store else None,
+                metrics=registry)
+            observe_pipeline_result(registry, result)
+            record_pipeline_run(registry, result, mode="cold", config=run_config)
+            return result
 
-    if technique == "none":
-        result = PipelineResult(benchmark, technique, threshold, baseline_size,
-                                baseline_size, baseline_instructions,
-                                baseline_instructions, baseline_seconds, 0.0,
-                                analysis_stats=manager.stats if manager else None,
-                                persist_stats=store.stats if store else None,
-                                metrics=registry)
+        options = make_pass_options(technique, threshold, size_model,
+                                    phi_coalescing,
+                                    search_strategy=search_strategy)
+        merging_pass = FunctionMergingPass(options)
+
+        peak_bytes = 0
+        started = time.perf_counter()
+        with maybe_span(registry, "merge"):
+            if measure_memory:
+                report, peak_bytes = measure_peak_memory(
+                    merging_pass.run, module, manager, store,
+                    metrics=registry)
+            else:
+                report = merging_pass.run(module, analysis_manager=manager,
+                                          artifact_store=store,
+                                          metrics=registry)
+        merge_seconds = time.perf_counter() - started
+
+        final_size = size_model.module_size(module)
+        result = PipelineResult(
+            benchmark=benchmark,
+            technique=technique,
+            threshold=threshold,
+            baseline_size=baseline_size,
+            final_size=final_size,
+            baseline_instructions=baseline_instructions,
+            final_instructions=module.num_instructions(),
+            baseline_compile_seconds=baseline_seconds,
+            merge_seconds=merge_seconds,
+            report=report,
+            peak_merge_bytes=peak_bytes,
+            analysis_stats=manager.stats if manager else None,
+            persist_stats=store.stats if store else None,
+            metrics=registry,
+        )
         observe_pipeline_result(registry, result)
         record_pipeline_run(registry, result, mode="cold", config=run_config)
-        if owns_registry:
-            registry.close()
         return result
-
-    options = make_pass_options(technique, threshold, size_model, phi_coalescing,
-                                search_strategy=search_strategy,
-                                parallel_workers=parallel_workers,
-                                parallel_backend=parallel_backend,
-                                parallel_persistent=parallel_persistent)
-    merging_pass = FunctionMergingPass(options)
-
-    peak_bytes = 0
-    started = time.perf_counter()
-    with maybe_span(registry, "merge"):
-        if measure_memory:
-            report, peak_bytes = measure_peak_memory(merging_pass.run, module,
-                                                     manager, store,
-                                                     metrics=registry)
-        else:
-            report = merging_pass.run(module, analysis_manager=manager,
-                                      artifact_store=store, metrics=registry)
-    merge_seconds = time.perf_counter() - started
-
-    final_size = size_model.module_size(module)
-    result = PipelineResult(
-        benchmark=benchmark,
-        technique=technique,
-        threshold=threshold,
-        baseline_size=baseline_size,
-        final_size=final_size,
-        baseline_instructions=baseline_instructions,
-        final_instructions=module.num_instructions(),
-        baseline_compile_seconds=baseline_seconds,
-        merge_seconds=merge_seconds,
-        report=report,
-        peak_merge_bytes=peak_bytes,
-        analysis_stats=manager.stats if manager else None,
-        persist_stats=store.stats if store else None,
-        parallel_stats=report.parallel_stats,
-        metrics=registry,
-    )
-    observe_pipeline_result(registry, result)
-    record_pipeline_run(registry, result, mode="cold", config=run_config)
-    if owns_registry:
-        registry.close()
-    return result
+    finally:
+        _close_owned(registry, metrics)
 
 
 @dataclass
@@ -342,26 +325,6 @@ class IncrementalRun:
         return self.result.report
 
 
-def _parallel_stats_delta(before: Optional[ParallelStats],
-                          after: Optional[ParallelStats]
-                          ) -> Optional[ParallelStats]:
-    """Per-run worker-pool counters of a state-owned (long-lived) engine."""
-    if after is None:
-        return None
-    if before is None:
-        return after
-    delta = ParallelStats(backend=after.backend, workers=after.workers)
-    for name, value in vars(after).items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            previous = getattr(before, name, 0)
-            if isinstance(previous, (int, float)) \
-                    and not isinstance(previous, bool):
-                setattr(delta, name, type(value)(value - previous))
-    delta.backend = after.backend
-    delta.workers = after.workers
-    return delta
-
-
 def run_pipeline_incremental(module: Module,
                              state: Optional[PipelineState] = None,
                              delta: Optional[ModuleDelta] = None,
@@ -375,15 +338,11 @@ def run_pipeline_incremental(module: Module,
                              = "exhaustive",
                              cache_dir: Optional[str] = None,
                              artifact_store: Optional[ArtifactStore] = None,
-                             parallel_workers: int = 0,
-                             parallel_backend: str = "process",
-                             parallel_persistent: bool = False,
                              metrics: Union[None, bool, str, MetricsRegistry]
                              = None,
                              events: Union[None, bool, EventLog]
                              = None,
-                             run_ledger=None,
-                             tuned_buckets: bool = True) -> IncrementalRun:
+                             run_ledger=None) -> IncrementalRun:
     """Re-run the merge pipeline for ``module``, reusing ``state``.
 
     The incremental counterpart of :func:`run_pipeline` (see
@@ -404,144 +363,120 @@ def run_pipeline_incremental(module: Module,
     state's pristine functions, so the caller keeps editing the live module
     between deltas.
 
-    ``parallel_workers`` hands each run a *state-owned* long-lived engine:
-    dirty candidate queries fan out to the existing worker pool instead of
-    respawning one per delta (call ``state.close()`` when done).
-
     ``metrics`` and ``events`` match :func:`run_pipeline`: the telemetry
     registry and the flight recorder, both purely observational.  Replay
     decisions (cache-hit verdicts, splice vs deterministic re-merge with the
     ``named_key`` guard, state-snapshot provenance) land in the event log
     with their reason codes.
 
-    ``run_ledger`` and ``tuned_buckets`` match :func:`run_pipeline`: the
-    durable run ledger (records land with ``mode="incremental"`` plus the
-    delta's :class:`~repro.incremental.IncrementalStats`) and the default-on
-    trend-tuned histogram ladders.
+    ``run_ledger`` matches :func:`run_pipeline`: the durable run ledger
+    (records land with ``mode="incremental"`` plus the delta's
+    :class:`~repro.incremental.IncrementalStats`).  So does the registry's
+    lifetime: one the pipeline created is closed however the run ends.
     """
     size_model = get_target(target)
-    registry = _pipeline_registry(metrics, tuned_buckets)
-    if events is not None and events is not False:
-        if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
-        attach_events(registry, events)
-    if run_ledger is not None:
-        if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
-        attach_run_ledger(registry, run_ledger)
+    registry = _pipeline_registry(metrics, events, run_ledger)
     events_log = registry.events if registry is not None else None
-    store = artifact_store
-    if store is None and cache_dir is not None:
-        store = ArtifactStore(cache_dir)
-    config = IncrementalConfig(
-        benchmark=benchmark, technique=technique, threshold=threshold,
-        target=target, phi_coalescing=phi_coalescing,
-        search_strategy=search_strategy)
-    with maybe_span(registry, "incremental.delta"):
-        loaded_from_store = False
-        if state is None and store is not None:
-            state = load_state(store, config)
-            loaded_from_store = state is not None
-        if events_log is not None:
-            events_log.emit(
-                "state_load", benchmark=benchmark,
-                provenance="artifact_store" if loaded_from_store
-                else ("live_state" if state is not None else "cold_bootstrap"))
-        if state is None:
-            state = PipelineState(config, artifact_store=store)
-        elif state.config.key() != config.key():
-            raise ValueError(
-                "run_pipeline_incremental called with a state built for a "
-                "different configuration; start a new state (or pass "
-                "matching technique/threshold/target/strategy arguments)")
-        if registry is not None and store is not None:
-            store.attach_metrics(registry)
-        with maybe_span(registry, "incremental.apply_delta"):
-            if delta is None:
-                delta = state.detect_delta(module)
-            state.apply_delta(module, delta)
-        with maybe_span(registry, "incremental.assemble"):
-            working, precomputed = state.assemble(module)
-        persistent = PersistentAnalysisCache(store) if store is not None \
-            else None
-        manager = ModuleAnalysisManager(working, persistent=persistent)
-        if registry is not None:
-            manager.attach_metrics(registry)
-        baseline_size = size_model.module_size(working)
-        baseline_instructions = working.num_instructions()
-        options = make_pass_options(
-            technique, threshold, size_model, phi_coalescing,
-            search_strategy=search_strategy,
-            parallel_workers=parallel_workers,
-            parallel_backend=parallel_backend,
-            parallel_persistent=parallel_persistent)
-        merging_pass = FunctionMergingPass(options)
-        engine = state.engine_for(merging_pass.parallel_config, registry)
-        engine_before = None
-        if engine is not None:
-            import copy as _copy
-            engine_before = _copy.copy(engine.stats)
-        state.cache.begin_run()
-        evicted_before = state.cache.evicted
-        started = time.perf_counter()
-        with maybe_span(registry, "incremental.merge"):
-            report = merging_pass.run(
-                working, analysis_manager=manager, artifact_store=store,
-                metrics=registry, precomputed=precomputed,
-                attempt_cache=state.cache, engine=engine)
-        merge_seconds = time.perf_counter() - started
-        if engine is not None:
-            report.parallel_stats = _parallel_stats_delta(
-                engine_before, engine.stats)
-        result = PipelineResult(
-            benchmark=benchmark,
-            technique=technique,
-            threshold=threshold,
-            baseline_size=baseline_size,
-            final_size=size_model.module_size(working),
-            baseline_instructions=baseline_instructions,
-            final_instructions=working.num_instructions(),
-            baseline_compile_seconds=0.0,
-            merge_seconds=merge_seconds,
-            report=report,
-            analysis_stats=manager.stats,
-            persist_stats=store.stats if store is not None else None,
-            parallel_stats=report.parallel_stats,
-            metrics=registry,
-        )
-        stats = IncrementalStats(
-            delta_index=state.deltas_applied - 1,
-            functions_added=len(delta.added),
-            functions_changed=len(delta.changed),
-            functions_removed=len(delta.removed),
-            pairs_reused=state.cache.run_hits,
-            pairs_rescored=state.cache.run_misses,
-            merges_spliced=state.cache.merges_spliced,
-            merges_recomputed=state.cache.merges_recomputed,
-            attempts=report.attempts,
-            cache_evicted=state.cache.evicted - evicted_before,
-            wall_seconds=merge_seconds,
-        )
-        state.report = report
-        state.analysis_manager = manager
-        if store is not None:
-            with maybe_span(registry, "incremental.snapshot"):
-                save_state(store, state)
-        observe_pipeline_result(registry, result)
-        observe_incremental_stats(registry, stats)
-        record_pipeline_run(
-            registry, result, mode="incremental",
-            config={
-                "target": target,
-                "phi_coalescing": phi_coalescing,
-                "search_strategy": search_strategy
-                if isinstance(search_strategy, str)
-                else type(search_strategy).__name__,
-                "parallel_workers": parallel_workers,
-                "parallel_backend": parallel_backend,
-            },
-            incremental=vars(stats))
-    if registry is not None and not isinstance(metrics, MetricsRegistry):
-        registry.close()
+    try:
+        store = artifact_store
+        if store is None and cache_dir is not None:
+            store = ArtifactStore(cache_dir)
+        config = IncrementalConfig(
+            benchmark=benchmark, technique=technique, threshold=threshold,
+            target=target, phi_coalescing=phi_coalescing,
+            search_strategy=search_strategy)
+        with maybe_span(registry, "incremental.delta"):
+            loaded_from_store = False
+            if state is None and store is not None:
+                state = load_state(store, config)
+                loaded_from_store = state is not None
+            if events_log is not None:
+                events_log.emit(
+                    "state_load", benchmark=benchmark,
+                    provenance="artifact_store" if loaded_from_store
+                    else ("live_state" if state is not None
+                          else "cold_bootstrap"))
+            if state is None:
+                state = PipelineState(config, artifact_store=store)
+            elif state.config.key() != config.key():
+                raise ValueError(
+                    "run_pipeline_incremental called with a state built for "
+                    "a different configuration; start a new state (or pass "
+                    "matching technique/threshold/target/strategy arguments)")
+            if registry is not None and store is not None:
+                store.attach_metrics(registry)
+            with maybe_span(registry, "incremental.apply_delta"):
+                if delta is None:
+                    delta = state.detect_delta(module)
+                state.apply_delta(module, delta)
+            with maybe_span(registry, "incremental.assemble"):
+                working, precomputed = state.assemble(module)
+            persistent = PersistentAnalysisCache(store) \
+                if store is not None else None
+            manager = ModuleAnalysisManager(working, persistent=persistent)
+            if registry is not None:
+                manager.attach_metrics(registry)
+            baseline_size = size_model.module_size(working)
+            baseline_instructions = working.num_instructions()
+            options = make_pass_options(technique, threshold, size_model,
+                                        phi_coalescing,
+                                        search_strategy=search_strategy)
+            merging_pass = FunctionMergingPass(options)
+            state.cache.begin_run()
+            evicted_before = state.cache.evicted
+            started = time.perf_counter()
+            with maybe_span(registry, "incremental.merge"):
+                report = merging_pass.run(
+                    working, analysis_manager=manager, artifact_store=store,
+                    metrics=registry, precomputed=precomputed,
+                    attempt_cache=state.cache)
+            merge_seconds = time.perf_counter() - started
+            result = PipelineResult(
+                benchmark=benchmark,
+                technique=technique,
+                threshold=threshold,
+                baseline_size=baseline_size,
+                final_size=size_model.module_size(working),
+                baseline_instructions=baseline_instructions,
+                final_instructions=working.num_instructions(),
+                baseline_compile_seconds=0.0,
+                merge_seconds=merge_seconds,
+                report=report,
+                analysis_stats=manager.stats,
+                persist_stats=store.stats if store is not None else None,
+                metrics=registry,
+            )
+            stats = IncrementalStats(
+                delta_index=state.deltas_applied - 1,
+                functions_added=len(delta.added),
+                functions_changed=len(delta.changed),
+                functions_removed=len(delta.removed),
+                pairs_reused=state.cache.run_hits,
+                pairs_rescored=state.cache.run_misses,
+                merges_spliced=state.cache.merges_spliced,
+                merges_recomputed=state.cache.merges_recomputed,
+                attempts=report.attempts,
+                cache_evicted=state.cache.evicted - evicted_before,
+                wall_seconds=merge_seconds,
+            )
+            state.report = report
+            state.analysis_manager = manager
+            if store is not None:
+                with maybe_span(registry, "incremental.snapshot"):
+                    save_state(store, state)
+            observe_pipeline_result(registry, result)
+            observe_incremental_stats(registry, stats)
+            record_pipeline_run(
+                registry, result, mode="incremental",
+                config={
+                    "target": target,
+                    "phi_coalescing": phi_coalescing,
+                    "search_strategy": search_strategy
+                    if isinstance(search_strategy, str)
+                    else type(search_strategy).__name__,
+                },
+                incremental=vars(stats))
+    finally:
+        _close_owned(registry, metrics)
     return IncrementalRun(result=result, state=state, delta=delta,
                           stats=stats)

@@ -10,12 +10,10 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..analysis.manager import AnalysisStats
-from ..parallel.stats import ParallelStats
 from ..persist import StoreStats
 from ..search.stats import SearchStats
 from .experiments import (
     AnalysisCacheResult,
-    ParallelRankingResult,
     SearchComparisonResult,
     WarmStartResult,
     Figure5Result,
@@ -181,33 +179,6 @@ def format_warm_start(result: WarmStartResult) -> str:
                      "match" if result.digests_match(size) else "MISMATCH"))
     return format_table(("#fns", "mode", "wall", "signatures", "fingerprints",
                          "store hit rate / digest"), rows)
-
-
-def format_parallel_stats(stats: ParallelStats) -> str:
-    """One-line summary of a worker-pool engine's counters."""
-    return (f"parallel[{stats.backend} x{stats.workers}]: "
-            f"{stats.functions_shipped} functions shipped in {stats.batches} "
-            f"batches, {stats.fingerprints_computed}+{stats.fingerprints_loaded} "
-            f"fingerprints computed+loaded, "
-            f"{stats.signatures_computed}+{stats.signatures_loaded} signatures, "
-            f"{stats.prefetched_used}/{stats.queries_prefetched} prefetched "
-            f"queries used, {stats.pairs_scored} pairs scored")
-
-
-def format_parallel_ranking(result: ParallelRankingResult) -> str:
-    rows = []
-    for row in result.rows:
-        rows.append((row.num_functions, row.backend, row.workers,
-                     f"{row.index_seconds * 1e3:.0f} ms",
-                     f"{row.query_seconds * 1e3:.0f} ms",
-                     f"{row.score_seconds * 1e3:.0f} ms",
-                     f"{row.wall_seconds * 1e3:.0f} ms", ""))
-    for size in sorted({row.num_functions for row in result.rows}):
-        rows.append((size, "ratio", "", "", "", "",
-                     f"{result.speedup(size):.2f}x",
-                     "match" if result.digests_match(size) else "MISMATCH"))
-    return format_table(("#fns", "backend", "workers", "index", "queries",
-                         "scoring", "wall", "digest"), rows)
 
 
 def format_search_stats(stats: SearchStats) -> str:

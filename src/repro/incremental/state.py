@@ -56,8 +56,8 @@ class IncrementalConfig:
     """The semantic configuration one pipeline state is valid for.
 
     Everything that changes the merge *outcome* is part of the key; runtime
-    toggles that are proven bit-identical (worker count, backend, caching,
-    telemetry) deliberately are not — one state serves them all.
+    toggles that are proven bit-identical (caching, telemetry) deliberately
+    are not — one state serves them all.
     """
 
     benchmark: str = "incremental"
@@ -104,8 +104,6 @@ class PipelineState:
                                 config.resolved_strategy(),
                                 min_size=config.min_function_size,
                                 artifact_store=artifact_store)
-        self._engine = None
-        self._engine_setup: Tuple[Any, Any] = (None, None)
 
     # -------------------------------------------------------------- deltas
     def detect_delta(self, module: Module) -> ModuleDelta:
@@ -191,27 +189,6 @@ class PipelineState:
             if pristine in self.index.fingerprints:
                 precomputed[clone] = dict(self.index.export_artifacts(pristine))
         return working, precomputed
-
-    # ------------------------------------------------------------- parallel
-    def engine_for(self, parallel_config, registry=None):
-        """The state-owned worker-pool engine (created once, reused across
-        deltas so dirty pairs fan out to an *existing* pool), or None."""
-        if parallel_config is None:
-            return None
-        setup = (parallel_config, registry)
-        if self._engine is None or self._engine_setup != setup:
-            self.close()
-            from ..parallel.engine import ParallelEngine  # deferred: heavy
-            self._engine = ParallelEngine(parallel_config, metrics=registry)
-            self._engine_setup = setup
-        return self._engine
-
-    def close(self) -> None:
-        """Release the worker pool (the state itself stays usable)."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-            self._engine_setup = (None, None)
 
     # -------------------------------------------------------------- queries
     def live_digests(self) -> Set[str]:

@@ -38,7 +38,6 @@ class Function(GlobalValue):
         self._next_value_id = 0
         self._mutation_epoch = 0
         self._content_digest: Optional[Tuple[int, str]] = None
-        self._canonical_text: Optional[Tuple[int, str]] = None
         self._name_table: Optional[Set[str]] = None
         for index, param_type in enumerate(function_type.param_types):
             arg_name = arg_names[index] if arg_names and index < len(arg_names) else f"arg{index}"
@@ -67,41 +66,14 @@ class Function(GlobalValue):
         """Record a structural change (block list, instructions, operands)."""
         self._mutation_epoch += 1
 
-    def canonical_text(self) -> str:
-        """The canonical, name-independent serialization of this function.
-
-        Equal to :func:`repro.ir.printer.canonical_function_text`, memoized
-        against :attr:`mutation_epoch` — consumers that repeatedly serialize
-        unchanged functions (``repro.parallel`` ships one function to several
-        phases) render at most once per epoch.  The memo retains the full
-        text, so only callers that genuinely reuse it should come through
-        here; :meth:`content_digest` renders transiently unless a memo
-        already exists.
-        """
-        cached = self._canonical_text
-        epoch = self._mutation_epoch
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        from .printer import canonical_function_text  # deferred: printer imports this module
-        text = canonical_function_text(self)
-        self._canonical_text = (epoch, text)
-        return text
-
-    def release_canonical_text(self) -> None:
-        """Drop the memoized canonical text (the digest memo is kept).
-
-        Shipping consumers (``repro.parallel``) pin the text only for the
-        engine's lifetime and release it here once nothing will reuse it.
-        """
-        self._canonical_text = None
-
     def content_digest(self) -> str:
         """A stable, process-independent hash of this function's content.
 
-        Hashes the canonical serialization (see :meth:`canonical_text`),
-        which excludes the function's own name and all local value names, so
-        structurally identical functions share a digest across renames, runs
-        and processes.  The result is memoized against :attr:`mutation_epoch`
+        Hashes the canonical serialization
+        (:func:`repro.ir.printer.canonical_function_text`), which excludes
+        the function's own name and all local value names, so structurally
+        identical functions share a digest across renames, runs and
+        processes.  The result is memoized against :attr:`mutation_epoch`
         — mutating the IR invalidates the digest the same way it invalidates
         cached analyses.  This is the content-address under which
         ``repro.persist`` stores per-function artifacts.
@@ -110,15 +82,10 @@ class Function(GlobalValue):
         epoch = self._mutation_epoch
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        cached_text = self._canonical_text
-        if cached_text is not None and cached_text[0] == epoch:
-            text = cached_text[1]
-        else:
-            # Render transiently: digest-only consumers (warm-start lookups
-            # over whole modules) must not pin every function's full text in
-            # memory; only canonical_text() callers opt into the memo.
-            from .printer import canonical_function_text  # deferred import
-            text = canonical_function_text(self)
+        # Rendered transiently: digest-only consumers (warm-start lookups
+        # over whole modules) must not pin every function's full text.
+        from .printer import canonical_function_text  # deferred import
+        text = canonical_function_text(self)
         digest = hashlib.blake2b(f"{DIGEST_SCHEMA}\n{text}".encode("utf-8"),
                                  digest_size=20).hexdigest()
         self._content_digest = (epoch, digest)

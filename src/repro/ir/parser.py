@@ -188,9 +188,7 @@ def parse_canonical_function(text: str, name: str = "f",
     >>> canonical_function_text(parse_canonical_function(t)) == t
 
     holds for every canonical text ``t``, which makes
-    ``Function.content_digest()`` stable across a ship/reconstruct round trip.
-    This is how ``repro.parallel`` workers rebuild read-only IR from the
-    artifacts the parent process ships them.
+    ``Function.content_digest()`` stable across a print/parse round trip.
     """
     lines = [_strip_comment(raw) for raw in text.splitlines()]
     stripped = [line.strip() for line in lines if line.strip()]

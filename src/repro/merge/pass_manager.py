@@ -30,7 +30,6 @@ from ..obs.events import (
     REASON_PROFITABLE,
     REASON_TYPE_MISMATCH,
 )
-from ..parallel.stats import ParallelStats
 from ..persist.store import ArtifactStore, StoreStats
 from ..search import SearchStats, SearchStrategy, make_index, resolve_strategy
 from ..ir.basic_block import BasicBlock
@@ -93,20 +92,6 @@ class MergePassOptions:
     #: every run cold.  ``run()`` can alternatively be handed a live store,
     #: which takes precedence.
     cache_dir: Optional[str] = None
-    #: Number of worker processes for the read-only phases (index-artifact
-    #: construction and candidate prefetch; see :mod:`repro.parallel`).
-    #: 0 (the default) runs everything in-process with no engine at all;
-    #: codegen and module mutation stay serial and ordered at any setting,
-    #: so reports are bit-identical across values.
-    parallel_workers: int = 0
-    #: Worker-pool backend when ``parallel_workers`` > 0: ``"process"`` (real
-    #: parallelism) or ``"serial"`` (the in-process reference, for debugging).
-    parallel_backend: str = "process"
-    #: Keep worker processes alive across pool dispatches (and across the
-    #: jobs of a long-lived engine): workers are spawned once and retain
-    #: their parsed-function caches — what the resident ``repro.service``
-    #: daemon runs on.  Purely a lifetime knob; reports are bit-identical.
-    parallel_persistent: bool = False
     #: Skip functions smaller than this many IR instructions.
     min_function_size: int = 3
     #: Allow merged functions to be merged again with further candidates.
@@ -146,9 +131,6 @@ class MergeReport:
     #: Artifact-store hit/miss/load/store counters of this run (None when the
     #: run had no store — the always-cold default).
     persist_stats: Optional[StoreStats] = None
-    #: Worker-pool counters of this run (None when the run had no engine —
-    #: ``parallel_workers=0``, the serial default).
-    parallel_stats: Optional[ParallelStats] = None
     size_before: int = 0
     size_after: int = 0
     instructions_before: int = 0
@@ -183,21 +165,13 @@ class FunctionMergingPass:
             raise ValueError(f"unknown technique {self.options.technique!r}")
         # Fail fast on unknown strategy names (raises ValueError).
         self.search_strategy = resolve_strategy(self.options.search_strategy)
-        self.parallel_config = None
-        if self.options.parallel_workers > 0:
-            from ..parallel.pool import ParallelConfig, resolve_config
-            # Fail fast on unknown backend names too (raises ValueError).
-            self.parallel_config = resolve_config(ParallelConfig(
-                backend=self.options.parallel_backend,
-                workers=self.options.parallel_workers,
-                persistent=self.options.parallel_persistent))
 
     # ------------------------------------------------------------ interface
     def run(self, module: Module,
             analysis_manager: Optional[ModuleAnalysisManager] = None,
             artifact_store: Optional[ArtifactStore] = None,
-            metrics=None, precomputed=None, attempt_cache=None,
-            engine=None) -> MergeReport:
+            metrics=None, precomputed=None,
+            attempt_cache=None) -> MergeReport:
         """Run the pass over ``module``.
 
         ``analysis_manager`` is threaded through the candidate index (shared
@@ -210,24 +184,20 @@ class FunctionMergingPass:
         differs.
 
         ``metrics`` (None, True or a :class:`repro.obs.MetricsRegistry`)
-        turns on telemetry: the pass records ``merge.*`` phase spans, times
-        every attempt's alignment and codegen, and hands per-worker
-        registries back through the engine.  Purely observational — the
-        report is bit-identical with telemetry on or off.
+        turns on telemetry: the pass records ``merge.*`` phase spans and
+        times every attempt's alignment and codegen.  Purely observational —
+        the report is bit-identical with telemetry on or off.
 
-        The last three parameters are the incremental pipeline's dirty-set-
-        aware entry point (see :mod:`repro.incremental`); all default to the
+        The last two parameters are the incremental pipeline's dirty-set-
+        aware entry point (see :mod:`repro.incremental`); both default to the
         batch behaviour.  ``precomputed`` maps functions to already derived
-        index artifacts and suppresses the engine's own artifact
-        precomputation.  ``attempt_cache`` memoizes attempt outcomes by
+        index artifacts.  ``attempt_cache`` memoizes attempt outcomes by
         content-digest pair: cached pairs replay as *ghost* attempts (no
         alignment, no codegen, no trial IR), and a ghost that wins its
         ranking round is materialized at commit time — spliced from the
         cached merged body when one exists, deterministically re-merged
-        otherwise.  ``engine`` lends the pass an externally owned worker
-        pool (it is then not closed here), so successive incremental runs
-        fan out to one long-lived pool.  All three are work-savers only:
-        reports stay bit-identical with or without them.
+        otherwise.  Both are work-savers only: reports stay bit-identical
+        with or without them.
         """
         options = self.options
         manager = analysis_manager
@@ -265,16 +235,7 @@ class FunctionMergingPass:
             f: cost_model.function_size(f, manager)
             for f in module.defined_functions()}
 
-        owns_engine = engine is None
         with maybe_span(registry, "merge.index_build"):
-            if engine is None and self.parallel_config is not None:
-                from ..parallel.engine import ParallelEngine
-                engine = ParallelEngine(self.parallel_config, metrics=registry)
-            if engine is not None and precomputed is None:
-                precomputed = engine.precompute_index_artifacts(
-                    module, self.search_strategy,
-                    min_size=options.min_function_size,
-                    manager=manager, store=store)
             index = make_index(module, self.search_strategy,
                                min_size=options.min_function_size,
                                analysis_manager=manager,
@@ -294,26 +255,6 @@ class FunctionMergingPass:
                                 instructions=function.num_instructions(),
                                 reason=REASON_BELOW_MIN_SIZE)
 
-        # Prefetched answers are used only while provably identical to what a
-        # live query would return (see :func:`prefetch_answer_valid`); the
-        # loop tracks index mutations and falls back to live queries the
-        # moment an answer could differ, so the candidate lists a parallel
-        # run acts on are bit-identical to a serial run's.
-        prefetched: Dict[Function, List] = {}
-        removed_since_prefetch: Set[Function] = set()
-        added_since_prefetch: List[Function] = []
-        if engine is not None:
-            # Population-dependent indexes (size_buckets) lose every cached
-            # answer on the first index mutation, so prefetching for them
-            # would be pure discarded work.
-            with maybe_span(registry, "merge.prefetch"):
-                if getattr(index, "population_independent_pools", False):
-                    prefetched = engine.prefetch_candidates(
-                        index, worklist, options.exploration_threshold)
-            report.parallel_stats = engine.stats
-            if owns_engine:
-                engine.close()
-
         def discard(merged) -> None:
             if merged.function is None:  # ghost attempt: nothing resident
                 return
@@ -328,18 +269,8 @@ class FunctionMergingPass:
                 position += 1
                 if function in consumed or function.parent is not module:
                     continue
-                answer = prefetched.get(function)
-                if answer is not None and prefetch_answer_valid(
-                        index, function, answer.candidates,
-                        options.exploration_threshold,
-                        removed_since_prefetch, added_since_prefetch,
-                        used_fallback=answer.used_fallback):
-                    candidates = answer.candidates
-                    engine.stats.prefetched_used += 1
-                else:
-                    candidates = index.candidates_for(
-                        function, options.exploration_threshold,
-                        exclude=consumed)
+                candidates = index.candidates_for(
+                    function, options.exploration_threshold, exclude=consumed)
                 best: Optional[MergedFunction] = None
                 best_decision: Optional[MergeDecision] = None
                 for rank, candidate in enumerate(candidates):
@@ -404,8 +335,6 @@ class FunctionMergingPass:
                     consumed.add(best.second)
                     index.remove(best.first)
                     index.remove(best.second)
-                    removed_since_prefetch.add(best.first)
-                    removed_since_prefetch.add(best.second)
                     original_sizes[best.function] = cost_model.function_size(
                         best.function, manager)
                     if options.allow_remerge:
@@ -417,7 +346,6 @@ class FunctionMergingPass:
                             attempt_cache.capture_index_artifacts(
                                 index, best.function)
                         worklist.append(best.function)
-                        added_since_prefetch.append(best.function)
                     report.profitable_merges += 1
                 elif best is not None:
                     if events is not None:
@@ -655,79 +583,6 @@ class FunctionMergingPass:
             demote_function(function, manager)
             promote_allocas(function, manager)
             simplify_function(function, manager=manager)
-
-
-def prefetch_answer_valid(index, function: Function, answer: List,
-                          threshold: int,
-                          removed: Set[Function],
-                          added: List[Function],
-                          used_fallback: bool = False) -> bool:
-    """Whether a prefetched candidate list still equals a live query's answer.
-
-    Prefetched answers (see :meth:`repro.parallel.ParallelEngine.
-    prefetch_candidates`) were computed against the index population *before*
-    the merge loop started mutating it.  The incremental reasoning below is
-    only sound for indexes whose probe-pool membership is pairwise
-    (``population_independent_pools`` — exhaustive scans, band-collision
-    lookups); for anything else (``size_buckets``: radius expansion and the
-    ``bucket_band_min`` flip make pools depend on the whole population) any
-    index mutation invalidates every answer outright.  A qualifying answer
-    is provably still exact when:
-
-    * none of its candidates has since been removed (the loop's exclusion set
-      and the index removals track each other, so a removed candidate would
-      have been *replaced* in a live answer, not just skipped);
-    * it did not come through the index's full-scan fallback, or no function
-      has been indexed since: a fallback answer covers candidates the probe
-      pool never saw, and a newcomer landing in the pool can *disarm* the
-      fallback — the live query then answers from the pool alone, whatever
-      the newcomer's own rank;
-    * every function indexed since then ranks strictly after the answer's
-      last candidate under the exhaustive ``(distance, -size, name)`` key.
-      For a pool-only answer this is exact: the answer's own members still
-      collide with the unmutated query, so the live pool stays at least
-      ``threshold`` strong (no fallback), and a newcomer that cannot
-      displace the k-th candidate cannot change the top-k.  A short answer
-      (fewer than ``threshold`` candidates) has no k-th candidate to hide
-      behind, so any index mutation at all invalidates it — even a removal
-      outside it can shrink a probe pool below the threshold and arm the
-      fallback.
-
-    For a full answer, removals of functions outside it never invalidate:
-    dropping a non-member from a pool cannot promote anyone into the top-k
-    above a candidate that already beat them (and a fallback that fired at
-    prefetch time keeps firing when the pool only shrinks).  The check is
-    conservative — every ``True`` is bit-exact, a needless ``False`` merely
-    re-queries.
-    """
-    if (removed or added) and not getattr(index, "population_independent_pools",
-                                          False):
-        return False
-    if len(answer) < threshold and (removed or added):
-        return False
-    for candidate in answer:
-        if candidate.function in removed:
-            return False
-    if added and used_fallback:
-        return False
-    if added:
-        query_fingerprint = index.fingerprints.get(function)
-        if query_fingerprint is None:
-            return False
-        last = answer[-1]
-        last_fingerprint = index.fingerprints.get(last.function)
-        if last_fingerprint is None:
-            return False
-        last_key = (last.distance, -last_fingerprint.size, last.function.name)
-        for newcomer in added:
-            fingerprint = index.fingerprints.get(newcomer)
-            if fingerprint is None:  # re-merged away again: cannot be returned
-                continue
-            key = (query_fingerprint.distance(fingerprint), -fingerprint.size,
-                   newcomer.name)
-            if key < last_key:
-                return False
-    return True
 
 
 def replace_with_thunk(merged: MergedFunction, which: int, original: Function) -> None:

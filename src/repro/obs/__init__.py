@@ -4,10 +4,10 @@ One :class:`MetricsRegistry` per run holds every counter, gauge, histogram
 and timer the pipeline records, a phase-scoped span trace (wall-clock,
 nesting, per-phase peak memory), and exports the lot as Prometheus text
 exposition or a JSON snapshot.  The existing per-subsystem stats dataclasses
-(``SearchStats`` / ``AnalysisStats`` / ``StoreStats`` / ``ParallelStats``)
-stay as the stable views callers already use; the adapters here fold them
-into the registry so the future ``repro.service`` daemon can scrape one
-endpoint instead of four counter bags.
+(``SearchStats`` / ``AnalysisStats`` / ``StoreStats``) stay as the stable
+views callers already use; the adapters here fold them into the registry so
+the ``repro.service`` daemon can scrape one endpoint instead of three
+counter bags.
 
 See ``docs/observability.md`` for the registry API, the span taxonomy and
 the trend-gate workflow.
@@ -69,7 +69,6 @@ from .adapters import (
     observe_analysis_stats,
     observe_incremental_stats,
     observe_merge_report,
-    observe_parallel_stats,
     observe_pipeline_result,
     observe_search_stats,
     observe_store_stats,
@@ -121,7 +120,6 @@ __all__ = [
     "observe_analysis_stats",
     "observe_incremental_stats",
     "observe_merge_report",
-    "observe_parallel_stats",
     "observe_pipeline_result",
     "observe_search_stats",
     "observe_store_stats",

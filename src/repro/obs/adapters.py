@@ -1,9 +1,9 @@
 """Adapters: fold the pipeline's existing stats dataclasses into a registry.
 
-``SearchStats``, ``AnalysisStats``, ``StoreStats`` and ``ParallelStats``
-remain the per-subsystem views their callers and tests consume — nothing
-about them changed.  These adapters are the bridge the other way: given any
-of those objects, they record the same counters as labeled metric families
+``SearchStats``, ``AnalysisStats`` and ``StoreStats`` remain the
+per-subsystem views their callers and tests consume — nothing about them
+changed.  These adapters are the bridge the other way: given any of those
+objects, they record the same counters as labeled metric families
 on a :class:`~repro.obs.MetricsRegistry`, so one registry ends up holding
 the whole run's telemetry in one exportable namespace.
 
@@ -72,10 +72,6 @@ def observe_analysis_stats(registry, stats) -> None:
         "repro_analysis_preserved_total",
         help="Entries re-stamped by a transform's preservation declaration."
         ).inc(stats.preserved)
-    registry.counter(
-        "repro_analysis_primed_total",
-        help="Entries injected from outside (e.g. worker-pool results)."
-        ).inc(stats.primed)
     for analysis, count in sorted(stats.computed_by_analysis.items()):
         registry.counter(
             "repro_analysis_computed_total",
@@ -118,58 +114,6 @@ def observe_store_stats(registry, stats) -> None:
         "repro_store_hit_ratio",
         help="Fraction of store loads served from disk.",
         merge_mode="max").set(stats.hit_rate)
-
-
-def observe_parallel_stats(registry, stats) -> None:
-    """Fold one :class:`~repro.parallel.stats.ParallelStats` into ``registry``."""
-    if registry is None or stats is None:
-        return
-    backend = stats.backend or "unknown"
-    registry.gauge(
-        "repro_parallel_workers",
-        help="Worker processes of the pool (max across merged engines).",
-        merge_mode="max", backend=backend).set(stats.workers)
-    registry.counter(
-        "repro_parallel_batches_total",
-        help="Worker-pool task batches dispatched.",
-        backend=backend).inc(stats.batches)
-    registry.counter(
-        "repro_parallel_functions_shipped_total",
-        help="Unique canonical texts serialized and shipped to workers.",
-        backend=backend).inc(stats.functions_shipped)
-    for artifact, computed, loaded in (
-            ("fingerprint", stats.fingerprints_computed,
-             stats.fingerprints_loaded),
-            ("signature", stats.signatures_computed,
-             stats.signatures_loaded)):
-        registry.counter(
-            "repro_parallel_artifacts_total",
-            help="Index artifacts derived by workers, by source.",
-            backend=backend, artifact=artifact, source="computed").inc(computed)
-        registry.counter(
-            "repro_parallel_artifacts_total",
-            help="Index artifacts derived by workers, by source.",
-            backend=backend, artifact=artifact, source="loaded").inc(loaded)
-    registry.counter(
-        "repro_parallel_queries_prefetched_total",
-        help="candidates_for queries answered ahead of the merge loop.",
-        backend=backend).inc(stats.queries_prefetched)
-    registry.counter(
-        "repro_parallel_prefetched_used_total",
-        help="Prefetched answers the merge loop actually consumed.",
-        backend=backend).inc(stats.prefetched_used)
-    registry.counter(
-        "repro_parallel_pairs_scored_total",
-        help="Candidate pairs alignment-scored by workers.",
-        backend=backend).inc(stats.pairs_scored)
-    registry.counter(
-        "repro_parallel_ship_seconds_total",
-        help="Wall-clock spent serializing and reconstructing IR.",
-        backend=backend).inc(stats.ship_seconds)
-    registry.counter(
-        "repro_parallel_worker_seconds_total",
-        help="Wall-clock spent inside worker task batches.",
-        backend=backend).inc(stats.worker_seconds)
 
 
 def observe_incremental_stats(registry, stats) -> None:
@@ -221,8 +165,8 @@ def observe_incremental_stats(registry, stats) -> None:
 def observe_merge_report(registry, report) -> None:
     """Fold one :class:`~repro.merge.pass_manager.MergeReport` into ``registry``.
 
-    Records the pass-level outcome counters plus the report's search /
-    persist / parallel stats.  (Called by :func:`observe_pipeline_result`;
+    Records the pass-level outcome counters plus the report's search and
+    persist stats.  (Called by :func:`observe_pipeline_result`;
     call it directly only for reports produced outside ``run_pipeline``.)
     """
     if registry is None or report is None:
@@ -254,7 +198,6 @@ def observe_merge_report(registry, report) -> None:
         merge_mode="last", technique=technique).set(report.reduction_percent)
     observe_search_stats(registry, report.search_stats)
     observe_store_stats(registry, report.persist_stats)
-    observe_parallel_stats(registry, report.parallel_stats)
 
 
 def observe_pipeline_result(registry, result) -> None:

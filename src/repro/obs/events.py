@@ -1,9 +1,8 @@
 """The flight recorder: a bounded, schema-versioned log of decision events.
 
 Metrics (:mod:`repro.obs.registry`) answer *how much* — counts, durations,
-distributions.  The :class:`EventLog` answers *why*: the merge pass, the
-incremental replay and the worker tasks emit one :class:`Event` per decision
-they take — pair considered, alignment scored, profitability verdict with a
+distributions.  The :class:`EventLog` answers *why*: the merge pass and the
+incremental replay emit one :class:`Event` per decision they take — pair considered, alignment scored, profitability verdict with a
 :data:`REASON_CODES` reason, commit/rollback, cache provenance — so "why
 was/wasn't this pair merged" is answerable after the fact from the recorded
 log alone (see :mod:`repro.obs.explain`).
@@ -17,10 +16,9 @@ Design constraints, matching the registry's:
   oldest event is dropped and counted (exposed as
   ``repro_events_dropped_total`` when a registry is attached), so a
   long-lived service can record forever without unbounded growth.
-* **Deterministic merge.**  Worker tasks buffer events into per-batch logs
-  shipped back inside their result snapshots; the parent folds them in
-  batch order with :meth:`EventLog.merge_payload`, re-sequencing as it goes —
-  exactly how per-worker metric snapshots fold.
+* **Deterministic merge.**  A log's payload (inside a registry snapshot or
+  on its own) folds into another log with :meth:`EventLog.merge_payload`,
+  re-sequencing as it goes — exactly how metric snapshots fold.
 * **Schema-versioned wire format.**  JSONL export starts with a header line
   carrying :data:`EVENT_SCHEMA`; import refuses anything else rather than
   silently mis-reading a log from a different code version.
@@ -129,7 +127,7 @@ class EventLog:
         self._registry = None
         self._sink = None
         # Guards the ring against a live exposition endpoint serializing it
-        # while the pipeline (or another worker fold) is still emitting.
+        # while the pipeline (or a snapshot fold) is still emitting.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------- recording
@@ -156,8 +154,8 @@ class EventLog:
     def attach_sink(self, sink) -> None:
         """Attach a durable sink (an :class:`~repro.obs.sink.EventSink`).
 
-        Every subsequent :meth:`emit` — including worker-batch events folded
-        through :meth:`merge_payload` — is written through to the sink
+        Every subsequent :meth:`emit` — including events folded through
+        :meth:`merge_payload` — is written through to the sink
         *before* ring eviction, so the disk-side history never drops even
         when the in-memory ring does.  Events still retained at attach time
         are spilled immediately (history already evicted is gone — attach
@@ -201,13 +199,12 @@ class EventLog:
 
     # ----------------------------------------------------------------- merge
     def merge_payload(self, payload: Dict[str, Any]) -> "EventLog":
-        """Fold a :meth:`as_payload` envelope (e.g. a worker batch's buffered
-        events) into this log, re-sequencing in arrival order.
+        """Fold a :meth:`as_payload` envelope (e.g. from a registry snapshot)
+        into this log, re-sequencing in arrival order.
 
-        Deterministic: the parent folds batch payloads in batch order — the
-        same contract metric snapshots follow — so the merged log is
-        identical however workers were scheduled.  Schema mismatches raise;
-        a parent must never silently mis-fold another version's events.
+        Deterministic: payloads folded in the same order give the same log —
+        the contract metric snapshots follow.  Schema mismatches raise; a
+        log must never silently mis-fold another version's events.
         """
         if payload.get("schema") != EVENT_SCHEMA:
             raise ValueError(
@@ -324,8 +321,7 @@ def attach_events(registry, events: Union[None, bool, EventLog]):
     Returns the attached log (or None).  Idempotent for the same log; a new
     log replaces the old one.  Snapshots of a registry with an attached log
     include the retained events, and :meth:`MetricsRegistry.merge_snapshot`
-    folds them back — which is how worker-buffered events ride the existing
-    per-batch snapshot channel.
+    folds them back, so events ride the same snapshot channel as metrics.
     """
     log = as_event_log(events)
     if registry is None:

@@ -9,9 +9,8 @@ Two renderings of one :class:`~repro.obs.MetricsRegistry`:
   the ``_seconds`` naming convention their families already follow.
 * :func:`registry_snapshot` / :func:`merge_snapshot_into` — a JSON-safe
   snapshot of every family, sample and span, and its inverse fold.  This is
-  the wire format :mod:`repro.parallel` workers ship their per-batch
-  registries back in, and what ``PipelineResult.metrics.snapshot()`` hands
-  to anything that wants the run's telemetry as data (the future
+  what :class:`~repro.obs.SnapshotSink` persists and what
+  ``PipelineResult.metrics.snapshot()`` hands to anything that wants the run's telemetry as data (the future
   ``repro.service`` daemon, the trend tooling, tests).
 
 Both renderings are deterministic: families sort by name, samples by label
@@ -25,7 +24,7 @@ import re
 from typing import Any, Dict, List, Tuple
 
 #: Version tag of the snapshot envelope; bump on incompatible shape changes
-#: so a parent never mis-folds a snapshot from a different code version.
+#: so a registry never mis-folds a snapshot from a different code version.
 SNAPSHOT_SCHEMA = 1
 
 
@@ -102,9 +101,8 @@ def registry_snapshot(registry) -> Dict[str, Any]:
     }
     events = getattr(registry, "events", None)
     if events is not None:
-        # The flight recorder rides the same wire format: worker batches
-        # buffer events into their per-batch registries and the parent folds
-        # them back in batch order, exactly like the metric families above.
+        # The flight recorder rides the same wire format and folds back
+        # exactly like the metric families above.
         snapshot["events"] = events.as_payload()
     return snapshot
 
@@ -115,8 +113,8 @@ def merge_snapshot_into(registry, snapshot: Dict[str, Any]) -> None:
     The inverse of :func:`registry_snapshot` up to merging: restoring a
     snapshot into a fresh registry reproduces it exactly; restoring into a
     populated one merges like :meth:`~repro.obs.MetricsRegistry.merge`.
-    Snapshots from an incompatible schema raise — a parent must never
-    silently mis-fold worker telemetry.
+    Snapshots from an incompatible schema raise — a registry must never
+    silently mis-fold another version's telemetry.
     """
     from .trace import SpanRecord
 

@@ -1,11 +1,10 @@
 """The metrics registry: one home for every counter, gauge, histogram and
 timer the pipeline records.
 
-Before this package existed the pipeline's telemetry was four ad-hoc counter
-bags (``SearchStats`` / ``AnalysisStats`` / ``StoreStats`` / ``ParallelStats``)
-stitched onto :class:`~repro.harness.pipeline.PipelineResult`.  Those
-dataclasses remain — they are the stable per-subsystem views existing callers
-and tests consume — but a :class:`MetricsRegistry` attached to a run becomes
+Before this package existed the pipeline's telemetry was ad-hoc counter bags
+(``SearchStats`` / ``AnalysisStats`` / ``StoreStats``) stitched onto
+:class:`~repro.harness.pipeline.PipelineResult`.  Those dataclasses remain —
+they are the stable per-subsystem views existing callers and tests consume — but a :class:`MetricsRegistry` attached to a run becomes
 the single queryable spine behind them: the adapters in
 :mod:`repro.obs.adapters` fold every stats object into labeled metric
 families, phase-scoped spans (see :meth:`MetricsRegistry.span`) trace the
@@ -19,12 +18,11 @@ Design constraints, in order:
 * **Zero effect on results.**  Metrics only observe — attaching a registry
   must never change a merge decision, so reports are bit-identical with
   telemetry on or off (asserted by ``tests/obs/test_pipeline_metrics.py``).
-* **Deterministic merge.**  Per-worker registries (shipped back as JSON
-  snapshots by :mod:`repro.parallel` tasks) fold into the parent with
-  :meth:`MetricsRegistry.merge` / :meth:`MetricsRegistry.merge_snapshot`
-  exactly like the per-worker stats dataclasses merge today: counters and
-  histogram buckets sum, gauges combine under a declared mode, spans append
-  in arrival order.
+* **Deterministic merge.**  Registries (live, or as JSON snapshots replayed
+  from a sink) fold into one another with :meth:`MetricsRegistry.merge` /
+  :meth:`MetricsRegistry.merge_snapshot` exactly like the stats dataclasses
+  merge: counters and histogram buckets sum, gauges combine under a declared
+  mode, spans append in arrival order.
 * **Cheap when absent.**  Every instrumented component guards on
   ``registry is None``; the hot paths pay one attribute test.
 """
@@ -97,9 +95,9 @@ class Gauge:
     """A value that can go up and down (Prometheus ``gauge``).
 
     ``merge_mode`` declares how samples from two registries combine (a
-    question Prometheus never faces but per-worker registry merging does):
-    ``"sum"`` for additive quantities (queue depths), ``"max"``/``"min"`` for
-    watermarks (worker counts, ratios) and ``"last"`` for
+    question Prometheus never faces but registry merging does): ``"sum"``
+    for additive quantities (queue depths), ``"max"``/``"min"`` for
+    watermarks (ratios) and ``"last"`` for
     latest-writer-wins.  An untouched gauge never perturbs a merge.
     """
 
@@ -377,9 +375,8 @@ class MetricsRegistry:
     def bucket_overrides(self) -> Dict[str, Tuple[float, ...]]:
         """The tuned-bucket ladders this registry was built with (a copy).
 
-        The parallel engine ships these to worker-batch registries so both
-        sides declare identical histogram bounds — mismatched ladders refuse
-        to merge by design.
+        A registry that should merge with this one must be built with the
+        same ladders — mismatched histogram bounds refuse to merge by design.
         """
         return dict(self._bucket_overrides)
 
@@ -527,8 +524,8 @@ class MetricsRegistry:
         label values (counters/histograms sum, gauges combine under their
         merge mode) and ``other``'s trace appends in its completion order
         with re-based indices.  Merging the same registries in the same
-        order always yields the same result — the property the parallel
-        engine relies on when folding per-worker registries.
+        order always yields the same result — the property snapshot replay
+        and the harness rely on when combining registries.
         """
         for name in sorted(other._families):
             theirs = other._families[name]
@@ -558,7 +555,7 @@ class MetricsRegistry:
         return registry_snapshot(self)
 
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> "MetricsRegistry":
-        """Fold a :meth:`snapshot` (e.g. shipped back by a worker) into self."""
+        """Fold a :meth:`snapshot` (e.g. one replayed from a sink) into self."""
         from .export import merge_snapshot_into
 
         merge_snapshot_into(self, snapshot)

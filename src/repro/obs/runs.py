@@ -95,7 +95,7 @@ class RunRecord:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Net traced allocation per span name (deep mode only; else empty).
     phase_alloc: Dict[str, int] = field(default_factory=dict)
-    #: Subsystem counter views (analysis/persist/parallel/incremental),
+    #: Subsystem counter views (analysis/persist/incremental),
     #: present only for the subsystems the run actually exercised.
     stats: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Verdict reason-code histogram from the flight recorder (empty when
@@ -307,10 +307,6 @@ def record_pipeline_run(registry, result, mode: str,
             if isinstance(value, (int, float, str, bool))}
     if result.persist_stats is not None:
         stats["persist"] = result.persist_stats.as_dict()
-    if result.parallel_stats is not None:
-        stats["parallel"] = {
-            key: value for key, value in vars(result.parallel_stats).items()
-            if isinstance(value, (int, float, str, bool))}
     if incremental is not None:
         stats["incremental"] = {
             key: value for key, value in incremental.items()
@@ -556,13 +552,9 @@ def _format_row(record: RunRecord) -> str:
     stamp = time.strftime("%Y-%m-%d %H:%M:%S",
                           time.localtime(record.unix_time)) \
         if record.unix_time else "?"
-    backend = str(record.config.get("parallel_backend", "serial"))
-    workers = record.config.get("parallel_workers", 0)
-    if not workers:
-        backend = "serial"
     digest = (record.report_digest or "-")[:10]
     return (f"{record.run_id[:12]}  {stamp}  {record.benchmark:<16} "
-            f"{record.technique:<7} {record.mode:<11} {backend:<8} "
+            f"{record.technique:<7} {record.mode:<11} "
             f"{digest:<10} {record.reduction_percent:6.2f}% "
             f"{record.merge_seconds:8.3f}s")
 
@@ -573,14 +565,8 @@ def _cmd_list(ledger: RunLedger, args) -> int:
         records = [r for r in records if r.benchmark == args.benchmark]
     if args.technique:
         records = [r for r in records if r.technique == args.technique]
-    if args.backend:
-        records = [r for r in records
-                   if str(r.config.get("parallel_backend", "serial"))
-                   == args.backend
-                   or (args.backend == "serial"
-                       and not r.config.get("parallel_workers", 0))]
     print(f"{'run id':<12}  {'recorded':<19}  {'benchmark':<16} "
-          f"{'tech':<7} {'mode':<11} {'backend':<8} {'digest':<10} "
+          f"{'tech':<7} {'mode':<11} {'digest':<10} "
           f"{'reduct':>7} {'merge':>9}")
     for record in records:
         print(_format_row(record))
@@ -625,9 +611,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     list_parser = commands.add_parser("list", help="list recorded runs")
     list_parser.add_argument("--benchmark", help="filter by benchmark name")
     list_parser.add_argument("--technique", help="filter by technique")
-    list_parser.add_argument("--backend",
-                             help="filter by parallel backend "
-                                  "(serial/process)")
     list_parser.set_defaults(handler=_cmd_list)
 
     show_parser = commands.add_parser("show", help="dump one run record")

@@ -10,9 +10,9 @@ evicts its oldest decisions and a crashed run loses everything.  A
   :class:`EventSink` attached (``log.attach_sink(sink)``) writes every event
   to disk *at emission time*, before the ring ever evicts it — the disk-side
   history is complete even when ``repro_events_dropped_total`` counts ring
-  overflow.  Worker batch logs fold through the parent log's ``emit`` (see
+  overflow.  Folded logs go through the receiving log's ``emit`` (see
   :meth:`EventLog.merge_payload`), so they spill through the same sink in
-  the same deterministic batch order.
+  the same deterministic order.
 * **Rotation.**  The active segment rolls over on size (``max_bytes``) or
   age (``max_age_seconds``); rotated segments are finalized with an atomic
   :func:`os.replace` and optionally gzipped.  Segment names carry a
@@ -345,7 +345,7 @@ class EventSink(RotatingSink):
     """A rotating sink of flight-recorder events (``prefix="events"``).
 
     Attach to a log with :meth:`EventLog.attach_sink`; every emitted event
-    (including worker-batch events folded by ``merge_payload``) is written
+    (including events folded by ``merge_payload``) is written
     through before the ring can evict it.
     """
 

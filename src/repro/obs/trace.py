@@ -27,7 +27,7 @@ class SpanRecord:
     #: Nesting depth (0 = top level).
     depth: int
     #: Start offset in seconds from the owning registry's creation.  Records
-    #: merged in from another registry (e.g. a worker's) keep *their*
+    #: merged in from another registry (e.g. a replayed snapshot) keep *their*
     #: registry's offsets — starts are comparable within one source only.
     start: float
     #: Wall-clock duration of the span.

@@ -108,15 +108,10 @@ class ArtifactStore:
 
     def __init__(self, root: Union[str, Path],
                  schema_version: int = SCHEMA_VERSION,
-                 stats: Optional[StoreStats] = None,
-                 read_only: bool = False) -> None:
+                 stats: Optional[StoreStats] = None) -> None:
         self.root = Path(root)
         self.schema_version = schema_version
         self.stats = stats or StoreStats()
-        #: Read-only stores decline every write (no error, no counter churn):
-        #: the mode ``repro.parallel`` workers open the shared store in, so
-        #: only the parent process ever publishes records.
-        self.read_only = read_only
         self._sequence = 0
         #: Optional repro.obs.MetricsRegistry (see :meth:`attach_metrics`):
         #: when attached, load/store calls time themselves into the
@@ -199,8 +194,6 @@ class ArtifactStore:
     # ---------------------------------------------------------------- stores
     def store(self, kind: str, digest: str, payload: Any) -> bool:
         """Persist ``payload`` under ``(kind, digest)``; False on write failure."""
-        if self.read_only:
-            return False
         if self._io_timers is None:
             return self._store(kind, digest, payload)
         with self._io_timers["store"].time():
@@ -269,8 +262,6 @@ class ArtifactStore:
         Returns the number of records evicted (also counted on
         :attr:`StoreStats.evicted`).
         """
-        if self.read_only:
-            return 0
         live = set(live_digests)
         objects = self.root / "objects"
         wanted = None if kinds is None else {

@@ -88,12 +88,6 @@ class AdaptiveIndex:
     stats and artifact export forward to the current delegate.
     """
 
-    #: The delegate can flip between strategies on any mutation, so a cached
-    #: pool answer is never provably stable across mutations — consumers
-    #: (``prefetch_answer_valid``) must drop cached answers, even while the
-    #: current delegate's own pools are population-independent.
-    population_independent_pools = False
-
     def __init__(self, module: Module, min_size: int = 2,
                  strategy: Optional[SearchStrategy] = None,
                  stats: Optional[SearchStats] = None,
@@ -169,10 +163,6 @@ class AdaptiveIndex:
     @property
     def precomputed(self):
         return self._delegate.precomputed
-
-    @property
-    def last_query_used_fallback(self) -> bool:
-        return self._delegate.last_query_used_fallback
 
     def attach_metrics(self, registry) -> None:
         self._registry = registry

@@ -61,17 +61,6 @@ class CandidateIndex(ABC):
 
     strategy_name = "abstract"
 
-    #: Whether a function's membership in a query's probe pool depends only
-    #: on the (query, function) pair — never on the rest of the population.
-    #: Exhaustive scans and band-collision lookups qualify; anything with
-    #: population-sensitive behaviour (radius expansion, size-triggered
-    #: sub-partitioning) does not.  Consumers caching answers across index
-    #: mutations (``repro.merge.pass_manager.prefetch_answer_valid``) may
-    #: only reason incrementally about pools with this property; the
-    #: conservative default forces them to drop cached answers on any
-    #: mutation.
-    population_independent_pools = False
-
     def __init__(self, module: Module, min_size: int = 2,
                  strategy: Optional[SearchStrategy] = None,
                  stats: Optional[SearchStats] = None,
@@ -92,18 +81,13 @@ class CandidateIndex(ABC):
         #: by content digest and only compute for functions whose digest the
         #: store has never seen.
         self.artifact_store = artifact_store
-        #: Optional per-function artifacts a repro.parallel worker pool
-        #: derived ahead of the build: ``{function: {"fingerprint": ...,
-        #: "signature": ...}}``.  Consulted before the manager, the store or
-        #: any computation, so an index over pre-shipped artifacts builds
-        #: without touching the functions' bodies at all.
+        #: Optional per-function artifacts derived ahead of the build (the
+        #: incremental pipeline's state index exports them):
+        #: ``{function: {"fingerprint": ..., "signature": ...}}``.  Consulted
+        #: before the manager, the store or any computation, so an index over
+        #: precomputed artifacts builds without touching the functions'
+        #: bodies at all.
         self.precomputed = precomputed or {}
-        #: Whether the most recent :meth:`candidates_for` answered through
-        #: the full-scan fallback rather than its probe pool alone.  Such an
-        #: answer depends on the fallback staying *armed*, which consumers
-        #: caching answers across index mutations must account for (see
-        #: ``repro.merge.pass_manager.prefetch_answer_valid``).
-        self.last_query_used_fallback = False
         #: Optional repro.obs hooks (see :meth:`attach_metrics`); resolved to
         #: concrete metric children once so queries pay no registry lookups.
         self._query_timer = None
@@ -211,14 +195,14 @@ class CandidateIndex(ABC):
         pairs = list(self._candidate_pool(function, fingerprint, threshold, exclude))
         ranked = rank_candidates(fingerprint, pairs, threshold, floor)
         scanned = len(pairs)
-        self.last_query_used_fallback = False
+        used_fallback = False
         # Fall back only when the *probe pool* was too small — if the pool
         # covered >= threshold candidates and ranking still came up short,
         # the similarity floor filtered them and a full scan would too.
         if len(ranked) < threshold and len(pairs) < threshold \
                 and self.strategy.fallback_to_scan \
                 and scanned < self._available_candidates(function, exclude):
-            self.last_query_used_fallback = True
+            used_fallback = True
             # Conservative fallback: the probe under-delivered, so also scan
             # the rest of the population.  Only the complement is scored —
             # the probe's short top-k merges with the complement's.
@@ -236,7 +220,7 @@ class CandidateIndex(ABC):
                                 population=max(0, len(self.fingerprints) - 1))
         if self._query_timer is not None:
             self._query_timer.observe(time.perf_counter() - query_started)
-            if self.last_query_used_fallback:
+            if used_fallback:
                 self._fallback_counter.inc()
         return ranked
 
@@ -293,7 +277,6 @@ class ExhaustiveIndex(CandidateIndex):
     """The seed's full-scan ranking, extracted behind the index interface."""
 
     strategy_name = "exhaustive"
-    population_independent_pools = True  # the pool *is* the population
 
     def _insert(self, function: Function, fingerprint: Fingerprint) -> None:
         pass
@@ -510,10 +493,8 @@ def compute_minhash_signature(function: Function, fingerprint: Fingerprint,
                               ) -> Tuple[int, ...]:
     """The MinHash signature of one function under ``strategy``'s geometry.
 
-    Shared by :class:`MinHashLSHIndex` and the ``repro.parallel`` worker
-    tasks, so a signature computed in a worker over a reconstructed function
-    is bit-identical to one the index would compute itself.  ``hash_params``
-    lets a caller amortise the hash-family construction across functions.
+    ``hash_params`` lets a caller amortise the hash-family construction
+    across functions.
     """
     count_construction("MinHashSignature")
     if hash_params is None:
@@ -572,9 +553,10 @@ def compute_probe_gaps(function: Function, fingerprint: Fingerprint,
     """Per-row probe gaps aligned with :func:`compute_minhash_signature`.
 
     Row ``i`` of the returned tuple is the gap of row ``i`` of the signature
-    (shingle rows first, then fingerprint rows).  Shared with the
-    ``repro.parallel`` worker tasks via ``export_artifacts``/``precomputed``
-    so a worker's probe order is bit-identical to the parent's.
+    (shingle rows first, then fingerprint rows).  Travels with the signature
+    through ``export_artifacts``/``precomputed``, so an index built over
+    exported artifacts probes in the same order as the one that exported
+    them.
     """
     if hash_params is None:
         hash_params = _signature_hash_family(strategy)
@@ -629,9 +611,6 @@ class MinHashLSHIndex(CandidateIndex):
     """
 
     strategy_name = "minhash_lsh"
-    #: Band collision is a pairwise predicate over (query, candidate)
-    #: signatures — the rest of the population never changes who collides.
-    population_independent_pools = True
 
     def __init__(self, module: Module, min_size: int = 2,
                  strategy: Optional[SearchStrategy] = None,
@@ -690,20 +669,13 @@ class MinHashLSHIndex(CandidateIndex):
         return signature
 
     def _probe_gaps_for(self, function: Function,
-                        fingerprint: Fingerprint) -> Optional[Tuple[int, ...]]:
-        """Per-row probe gaps of one function, shipped or computed locally.
-
-        Reconstructed worker-side functions carry no body; when their gaps
-        were not shipped either, ``None`` falls the query back to the fixed
-        first-``multiprobe`` row order.
-        """
-        shipped = self.precomputed.get(function)
-        if shipped is not None:
-            payload = shipped.get("probe_gaps")
+                        fingerprint: Fingerprint) -> Tuple[int, ...]:
+        """Per-row probe gaps of one function, precomputed or derived here."""
+        precomputed = self.precomputed.get(function)
+        if precomputed is not None:
+            payload = precomputed.get("probe_gaps")
             if valid_probe_gaps(payload, len(self._hash_params)):
                 return tuple(payload)
-        if getattr(function, "blocks", None) is None:
-            return None
         return compute_probe_gaps(function, fingerprint, self.strategy,
                                   self._hash_params)
 

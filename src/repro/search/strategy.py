@@ -133,9 +133,10 @@ def make_index(module, strategy: Union[str, SearchStrategy, None] = None,
     computing its own.  ``artifact_store`` (see :mod:`repro.persist`) lets
     strategies with expensive per-function derivations — the MinHash
     signatures — load them by content digest and compute only what the store
-    has never seen.  ``precomputed`` (see :mod:`repro.parallel`) maps
-    functions to artifacts a worker pool already derived (``"fingerprint"``,
-    ``"signature"``), consulted before any store or computation.
+    has never seen.  ``precomputed`` maps functions to artifacts another
+    index already derived (``"fingerprint"``, ``"signature"``; see
+    ``CandidateIndex.export_artifacts``), consulted before any store or
+    computation.
     """
     resolved = resolve_strategy(strategy)
     factory = _REGISTRY[resolved.name]

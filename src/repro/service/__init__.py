@@ -1,11 +1,10 @@
 """repro.service — the resident merge daemon and its wire protocol.
 
 The batch entry points (:func:`repro.harness.run_pipeline` and friends) pay
-their whole setup cost — worker-pool spawn, analysis warm-up, artifact-store
-open, candidate-index build — on *every* invocation.  This package keeps
-all of it resident: :class:`MergeService` owns one persistent worker pool,
-one telemetry registry with a mounted HTTP endpoint, one open artifact
-store, and a per-session :class:`~repro.incremental.PipelineState` that
+their whole setup cost — analysis warm-up, artifact-store open,
+candidate-index build — on *every* invocation.  This package keeps all of
+it resident: :class:`MergeService` owns one telemetry registry with a
+mounted HTTP endpoint, one open artifact store, and a per-session :class:`~repro.incremental.PipelineState` that
 routes repeat submissions through the incremental pipeline, so a warm job
 costs near-O(|delta|) instead of O(module).
 
@@ -17,7 +16,7 @@ costs near-O(|delta|) instead of O(module).
 
 Digest contract: a service job's report digest is bit-identical to a cold
 ``run_pipeline`` over the same module text — the same parity bar the
-incremental and parallel subsystems hold.  See ``docs/service.md``.
+incremental subsystem holds.  See ``docs/service.md``.
 """
 
 from .protocol import (

@@ -3,10 +3,6 @@
 One long-lived process owns everything a cold ``run_pipeline`` pays for on
 every invocation, and keeps it hot across jobs:
 
-* one **persistent worker pool** per session configuration
-  (:class:`~repro.parallel.PersistentProcessPool` via
-  ``parallel_persistent=True``): workers are spawned once per daemon
-  lifetime and keep their parse memo warm, instead of a fork-per-phase;
 * a per-session **pipeline state** (:class:`~repro.incremental.PipelineState`)
   routing every repeat submission through
   :func:`~repro.harness.run_pipeline_incremental` — near-O(|delta|) replay,
@@ -32,7 +28,7 @@ it ever scored.
 
 Run it::
 
-    repro-serve --port 7337 --workers 4 --store .cache --obs-port 9100
+    repro-serve --port 7337 --store .cache --obs-port 9100
 
 and drive it with :class:`~repro.service.protocol.ServiceClient` or
 ``python -m repro.service.loadgen``.  See ``docs/service.md`` for the
@@ -79,13 +75,6 @@ class _Session:
         self.options = options
         self.state = None  # PipelineState, owned by run_pipeline_incremental
         self.jobs = 0
-
-    def pool_spawns(self) -> int:
-        """Worker-pool generations this session's engine has spawned."""
-        engine = getattr(self.state, "_engine", None)
-        if engine is None:
-            return 0
-        return getattr(engine.pool, "spawns", 0)
 
 
 class _Job:
@@ -154,12 +143,10 @@ class MergeService:
 
     Constructing one binds the job socket (and the observability endpoint
     unless ``obs_port=None``) and starts serving; ``close()`` — idempotent,
-    exception-safe — tears everything down, releasing every session's
-    worker pool.
+    exception-safe — tears everything down.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 workers: int = 0, backend: str = "process",
                  store: Optional[str] = None,
                  obs_port: Optional[int] = 0,
                  snapshot_dir: Optional[str] = None,
@@ -167,8 +154,6 @@ class MergeService:
                  cache_cap: Optional[int] = 65536,
                  compact_every: int = 64,
                  max_request_bytes: int = MAX_MESSAGE_BYTES) -> None:
-        self.workers = workers
-        self.backend = backend
         self.cache_cap = cache_cap
         self.compact_every = compact_every
         self.max_request_bytes = max_request_bytes
@@ -272,7 +257,6 @@ class MergeService:
                 if state is not None else 0,
                 "cache_evicted": state.cache.evicted
                 if state is not None else 0,
-                "pool_spawns": session.pool_spawns(),
             })
         return infos
 
@@ -323,9 +307,6 @@ class MergeService:
             phi_coalescing=session.options["phi_coalescing"],
             search_strategy=session.options["search_strategy"],
             artifact_store=self.store,
-            parallel_workers=self.workers,
-            parallel_backend=self.backend,
-            parallel_persistent=True,
             metrics=self.registry)
         seconds = time.perf_counter() - started
         session.state = run.state
@@ -354,7 +335,6 @@ class MergeService:
             phase_seconds=phase_seconds,
             run_id=getattr(self.registry, "last_run_id", None),
             incremental=run.stats.as_dict(),
-            pool_spawns=session.pool_spawns(),
         )
 
     def _create_session(self, name: str,
@@ -391,7 +371,12 @@ class MergeService:
 
     @staticmethod
     def _patch_session(session: _Session, message: Dict[str, Any]) -> None:
-        """Apply a full-module replacement or a named-function patch."""
+        """Apply a full-module replacement or a named-function patch.
+
+        All or nothing: every entry is parsed and every removal checked
+        before the module changes, so a rejected patch leaves the session
+        exactly as it was.
+        """
         text = message.get("module")
         if isinstance(text, str):
             try:
@@ -411,16 +396,27 @@ class MergeService:
                 "submit carries neither 'module' text nor a "
                 "'functions'/'remove' patch")
         module = session.module
+        parsed = []
         for item in functions:
             if not isinstance(item, str):
                 raise ProtocolError("bad_request",
                                     "'functions' entries must be function "
                                     "definition texts")
             try:
-                incoming = parse_named_function(item)
+                parsed.append(parse_named_function(item))
             except Exception as error:
                 raise ProtocolError("bad_request",
                                     f"unparseable function: {error}")
+        # Removals run after the patch entries, as if applied in order.
+        present = {function.name for function in module.functions}
+        present.update(function.name for function in parsed)
+        for name in removals:
+            if str(name) not in present:
+                raise ProtocolError("bad_request",
+                                    f"cannot remove unknown function "
+                                    f"@{name}")
+            present.discard(str(name))
+        for incoming in parsed:
             existing = module.get_function(incoming.name)
             if existing is not None and not existing.is_declaration() \
                     and existing.function_type == incoming.function_type:
@@ -430,12 +426,7 @@ class MergeService:
                     module.remove_function(existing)
                 module.add_function(incoming)
         for name in removals:
-            existing = module.get_function(str(name))
-            if existing is None:
-                raise ProtocolError("bad_request",
-                                    f"cannot remove unknown function "
-                                    f"@{name}")
-            module.remove_function(existing)
+            module.remove_function(module.get_function(str(name)))
         remap_references(module)
 
     # ------------------------------------------------------------ telemetry
@@ -461,12 +452,6 @@ class MergeService:
             self._tcp.server_close()
         except Exception:
             pass
-        for session in list(self.sessions.values()):
-            try:
-                if session.state is not None:
-                    session.state.close()  # releases the worker pool
-            except Exception:
-                pass
         try:
             self._snapshot_stop.set()
             if self._snapshot_thread is not None:
@@ -502,10 +487,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=0,
                         help="job-socket port (0: ephemeral, printed on "
                              "start)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="persistent worker-pool size (0: serial)")
-    parser.add_argument("--backend", default="process",
-                        help="worker-pool backend (process/serial)")
     parser.add_argument("--store", default=None,
                         help="artifact-store root: state snapshots, "
                              "persistent analyses and the run ledger")
@@ -527,8 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     service = MergeService(
-        args.host, args.port,
-        workers=args.workers, backend=args.backend, store=args.store,
+        args.host, args.port, store=args.store,
         obs_port=None if args.obs_port < 0 else args.obs_port,
         snapshot_dir=args.snapshot_dir,
         snapshot_interval=args.snapshot_interval,
@@ -537,7 +517,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         max_request_bytes=args.max_request_bytes)
     banner = {"host": service.host, "port": service.port,
               "obs_url": service.obs.url if service.obs is not None
-              else None, "workers": args.workers, "backend": args.backend}
+              else None}
     print(json.dumps(banner), flush=True)
     try:
         service.closed_event.wait()

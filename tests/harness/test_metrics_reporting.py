@@ -6,14 +6,12 @@ from repro.analysis.manager import AnalysisStats
 from repro.harness.metrics import (
     arithmetic_mean,
     combine_analysis_stats,
-    combine_parallel_stats,
     combine_search_stats,
     combine_store_stats,
     geometric_mean,
     measure_time,
     stopwatch,
 )
-from repro.parallel.stats import ParallelStats
 from repro.persist import StoreStats
 from repro.search.stats import SearchStats
 from repro.harness.reporting import format_table
@@ -119,11 +117,6 @@ class TestStatsCombiners:
         combined = combine_analysis_stats([shared, None, shared])
         assert combined.hits == 10
         assert combined.misses == 2
-
-    def test_combine_parallel_stats_dedupes_aliases(self):
-        shared = ParallelStats(batches=6)
-        combined = combine_parallel_stats([shared, shared])
-        assert combined.batches == 6
 
     def test_equal_but_distinct_objects_still_both_count(self):
         # Identity dedupe, not equality: two genuinely separate runs with

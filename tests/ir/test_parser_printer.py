@@ -217,9 +217,8 @@ class TestRoundTrip:
 class TestCanonicalRoundTrip:
     """``parse_canonical_function`` inverts ``canonical_function_text``.
 
-    The round trip is the shipping format of ``repro.parallel``: a worker
-    must reconstruct IR whose canonical text — and therefore whose
-    ``content_digest`` — is identical to the shipped original's.
+    Reconstructed IR must have the same canonical text — and therefore the
+    same ``content_digest`` — as the original.
     """
 
     @pytest.mark.parametrize("source", [MOTIVATING_EXAMPLE, FULL_COVERAGE])

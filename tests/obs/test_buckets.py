@@ -159,9 +159,8 @@ class TestCachedOverrides:
 
 
 class TestPipelineTunedDefault:
-    """`run_pipeline(metrics=True)` applies tuned ladders by default —
-    but only when trend history exists, only to registries it creates,
-    and never when `tuned_buckets=False` opts out."""
+    """`run_pipeline(metrics=True)` applies tuned ladders — but only when
+    trend history exists, and only to registries it creates."""
 
     def run(self, **kwargs):
         module = search_workload(32, seed=3)
@@ -188,14 +187,6 @@ class TestPipelineTunedDefault:
         assert child.bounds == \
             result.metrics.bucket_overrides["repro_phase_seconds"]
 
-    def test_opt_out_knob(self, tmp_path, monkeypatch):
-        trend = tmp_path / "trend.jsonl"
-        write_trend(trend)
-        monkeypatch.setattr(buckets, "_default_trend_path",
-                            lambda: str(trend))
-        result = self.run(metrics=True, tuned_buckets=False)
-        assert result.metrics.bucket_overrides == {}
-
     def test_caller_registry_never_reshaped(self, tmp_path, monkeypatch):
         trend = tmp_path / "trend.jsonl"
         write_trend(trend)
@@ -213,6 +204,8 @@ class TestPipelineTunedDefault:
         monkeypatch.setattr(buckets, "_default_trend_path",
                             lambda: str(trend))
         tuned = self.run(metrics=True)
-        plain = self.run(metrics=True, tuned_buckets=False)
+        # A caller's registry keeps its own (default) ladders.
+        plain = self.run(metrics=MetricsRegistry())
+        assert plain.metrics.bucket_overrides == {}
         assert merge_report_digest(tuned.report) == \
             merge_report_digest(plain.report)

@@ -80,8 +80,8 @@ class TestGateOutcomes:
         assert gate.main(["--trend", path]) == 0
 
     def test_broken_digest_fails_without_history(self, gate, tmp_path):
-        row = {"bench": "parallel_pipeline_parity", "commit": "abc1234",
-               "num_functions": 64, "cells": 4, "digests_match": False,
+        row = {"bench": "incremental", "commit": "abc1234",
+               "num_functions": 64, "digests_match": False,
                "unix_time": 1}
         path = write_rows(tmp_path / "t.jsonl", [row])
         assert gate.main(["--trend", path]) == 1
@@ -89,16 +89,21 @@ class TestGateOutcomes:
 
 class TestSeriesKeying:
     def test_different_contexts_never_compare(self, gate, tmp_path):
-        # A 2-cpu CI host's speedup history must not judge a 16-cpu row, and
-        # vice versa: each (workers, host_cpus) context is its own series.
-        def parallel_row(host_cpus, speedup):
-            return {"bench": "parallel_ranking", "commit": "abc1234",
-                    "num_functions": 96, "workers": 4,
-                    "host_cpus": host_cpus, "speedup": speedup,
-                    "digests_match": True, "unix_time": 1}
-        rows = [parallel_row(16, 3.0)] * 3 + [parallel_row(2, 0.6)]
-        path = write_rows(tmp_path / "t.jsonl", rows)
-        assert gate.main(["--trend", path]) == 0
+        # service_load is keyed by host_cpus and gates `errors` at zero: a
+        # row from a new host class starts its own series (too short to
+        # fail), while the same row in the old context is judged and fails.
+        def load_row(host_cpus, errors):
+            return {"bench": "service_load", "commit": "abc1234",
+                    "sessions": 3, "jobs": 3, "num_functions": 24,
+                    "host_cpus": host_cpus, "errors": errors,
+                    "jobs_per_second": 12.0, "unix_time": 1}
+        history = [load_row(1, 0)] * 3
+        new_context = write_rows(tmp_path / "new.jsonl",
+                                 history + [load_row(2, 1)])
+        assert gate.main(["--trend", new_context]) == 0
+        same_context = write_rows(tmp_path / "same.jsonl",
+                                  history + [load_row(1, 1)])
+        assert gate.main(["--trend", same_context]) == 1
 
     def test_unknown_bench_is_skipped_not_fatal(self, gate, tmp_path):
         rows = [{"bench": "not_a_bench", "metric": 1.0, "unix_time": 1}]

@@ -244,16 +244,3 @@ class TestIncrementalEmission:
         cached = [event for event in log2.records("verdict")
                   if event.data.get("provenance") == "attempt_cache"]
         assert cached
-
-
-class TestWorkerEmission:
-    def test_process_workers_ship_artifact_provenance(self):
-        result = run_pipeline(
-            search_workload(48), "bench", technique="salssa", threshold=2,
-            search_strategy="minhash_lsh", parallel_workers=2,
-            parallel_backend="process", events=True)
-        artifacts = result.metrics.events.records("artifact")
-        assert artifacts
-        for event in artifacts:
-            assert event.data["fingerprint"] in ("artifact_store",
-                                                 "cold_compute")

@@ -93,7 +93,8 @@ class TestSnapshot:
         assert parent.counter("repro_requests_total", op="load").value == 6
 
     def test_worker_fold_matches_direct_merge(self):
-        """Snapshot-mediated merging (what workers do) equals direct merge."""
+        """Snapshot-mediated merging (what sink replay does) equals direct
+        merge."""
         via_snapshot = MetricsRegistry()
         direct = MetricsRegistry()
         for parsed in (1, 2, 3):

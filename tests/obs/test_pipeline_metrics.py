@@ -3,14 +3,15 @@
 The contract under test is the package's first design constraint: metrics
 only observe.  A run with a registry attached must produce bit-identical
 merge reports to a run without one, in every execution mode — and the
-registry must come back holding the phases, the folded stats counters and
-the per-worker telemetry.
+registry must come back holding the phases and the folded stats counters.
 """
+
+import tracemalloc
 
 import pytest
 
 from repro.harness.experiments import merge_report_digest, search_workload
-from repro.harness.pipeline import run_pipeline
+from repro.harness.pipeline import run_pipeline, run_pipeline_incremental
 from repro.obs import PHASE_TIMER, MetricsRegistry
 
 SIZE = 48
@@ -31,13 +32,6 @@ class TestBitIdentical:
         assert merge_report_digest(with_metrics.report) == \
             merge_report_digest(without.report)
         assert with_metrics.final_size == without.final_size
-
-    def test_parallel_run_identical_with_telemetry(self):
-        reference = run(search_strategy="minhash_lsh")
-        parallel = run(metrics=True, search_strategy="minhash_lsh",
-                       parallel_workers=2, parallel_backend="process")
-        assert merge_report_digest(parallel.report) == \
-            merge_report_digest(reference.report)
 
 
 class TestPhaseReconciliation:
@@ -120,38 +114,26 @@ class TestAdapterFolds:
                 "repro_merge_attempts_total", technique="salssa").value
 
 
-class TestWorkerTelemetry:
-    def test_process_workers_ship_registries_back(self):
-        result = run(metrics=True, search_strategy="minhash_lsh",
-                     parallel_workers=2, parallel_backend="process")
-        registry = result.metrics
-        names = {record.name for record in registry.trace}
-        assert "worker.index_artifacts" in names
-        assert "worker.candidates" in names
-        parsed = registry.counter("repro_worker_functions_parsed_total",
-                                  task="index_artifacts").value
-        assert parsed > 0
+class TestOwnedRegistryLifetime:
+    """A registry the pipeline creates is closed however the run ends, so a
+    failed ``metrics="deep"`` run never leaves ``tracemalloc`` tracing."""
 
-    def test_worker_counters_deterministic_across_runs(self):
-        def worker_lines(result):
-            return sorted(
-                line for line in result.metrics.to_prometheus().splitlines()
-                if line.startswith(("repro_worker_functions_parsed_total",
-                                    "repro_search_query_seconds_count")))
-        first = run(metrics=True, search_strategy="minhash_lsh",
-                    parallel_workers=2, parallel_backend="process")
-        second = run(metrics=True, search_strategy="minhash_lsh",
-                     parallel_workers=2, parallel_backend="process")
-        assert worker_lines(first) == worker_lines(second)
+    def test_cold_run_that_raises_stops_tracing(self):
+        assert not tracemalloc.is_tracing()
+        module = search_workload(SIZE, seed=7)
+        with pytest.raises(ValueError):
+            run_pipeline(module, "obs-test", technique="bogus",
+                         metrics="deep")
+        assert not tracemalloc.is_tracing()
 
-    def test_serial_backend_short_circuits_worker_telemetry(self):
-        # The inline pool computes everything in the parent by design, so a
-        # serial-backend run records parent-side phases but no worker spans.
-        result = run(metrics=True, search_strategy="minhash_lsh",
-                     parallel_workers=2, parallel_backend="serial")
-        names = {record.name for record in result.metrics.trace}
-        assert "merge.prefetch" in names
-        assert "worker.index_artifacts" not in names
+    def test_incremental_run_that_raises_stops_tracing(self):
+        module = search_workload(SIZE, seed=7)
+        state = run_pipeline_incremental(module, technique="fmsa").state
+        assert not tracemalloc.is_tracing()
+        with pytest.raises(ValueError):
+            run_pipeline_incremental(module, state, technique="salssa",
+                                     metrics="deep")
+        assert not tracemalloc.is_tracing()
 
 
 class TestExportSurface:

@@ -148,7 +148,10 @@ class TestPipelineIntegration:
         assert record.reduction_percent == \
             pytest.approx(recorded.reduction_percent)
         assert "merge" in record.phase_seconds
-        assert record.config["parallel_workers"] == 0
+        # The fingerprinted config holds only outcome-relevant settings.
+        assert sorted(record.config) == [
+            "benchmark", "phi_coalescing", "search_strategy", "target",
+            "technique", "threshold"]
 
     def test_run_with_sink_records_pointer_and_reasons(self, tmp_path):
         registry = MetricsRegistry()
@@ -166,7 +169,6 @@ class TestPipelineIntegration:
         bootstrap = run_pipeline_incremental(
             module, benchmark="runs-test",
             run_ledger=tmp_path / "ledger")
-        bootstrap.state.close()
         [record] = bootstrap.result.metrics.run_ledger.runs()
         assert record.mode == "incremental"
         assert "incremental" in record.stats
@@ -268,7 +270,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "other" in out and "bench " not in out
         assert main(self.store_arg(ledger)
-                    + ["list", "--backend", "process"]) == 0
+                    + ["list", "--technique", "fmsa"]) == 0
         assert "(no runs matched)" in capsys.readouterr().out
 
     def test_show_accepts_prefix(self, ledger, capsys):

@@ -55,13 +55,6 @@ class TestCompact:
         assert store.compact({"aa11"}) == 0
         assert store.stats.evicted == 0
 
-    def test_read_only_stores_refuse_to_collect(self, tmp_path):
-        writer = ArtifactStore(tmp_path)
-        _populate(writer, "analysis.fingerprint", ["aa11"])
-        reader = ArtifactStore(tmp_path, read_only=True)
-        assert reader.compact(set()) == 0
-        assert writer.load("analysis.fingerprint", "aa11") is not None
-
     def test_evicted_records_can_be_republished(self, tmp_path):
         store = ArtifactStore(tmp_path)
         _populate(store, "analysis.fingerprint", ["aa11"])
@@ -80,7 +73,7 @@ class TestConcurrentReaderSafety:
         dead = [f"dead{i:02d}" for i in range(50)]
         _populate(store, "analysis.fingerprint", live + dead)
 
-        reader = ArtifactStore(tmp_path, read_only=True)
+        reader = ArtifactStore(tmp_path)
         failures = []
         stop = threading.Event()
 

@@ -99,7 +99,7 @@ class TestProbeGapArtifacts:
     def test_shipped_gaps_reproduce_local_probe_order(self):
         """An index warm-started from exported artifacts answers queries
         bit-identically to one that computed everything itself — the
-        contract the parallel workers rely on."""
+        contract the incremental pipeline's state index relies on."""
         module = search_workload(96, seed=11)
         strategy = _FEW_BANDS.with_options(multiprobe=2)
         local = make_index(module, strategy, min_size=3)

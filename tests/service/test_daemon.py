@@ -2,8 +2,8 @@
 
 The service's headline contract is that residency is *free* correctness-
 wise: a job's report digest is bit-identical to a cold ``run_pipeline``
-over the same module text, whatever technique or backend the session is
-pinned to, and however many warm jobs preceded it.
+over the same module text, whatever technique the session is pinned to,
+and however many warm jobs preceded it.
 """
 
 import random
@@ -18,7 +18,7 @@ from repro.ir.printer import print_function, print_module
 from repro.obs import report_digest_hex
 from repro.service import MergeService, ServiceClient
 from repro.service.loadgen import percentile, run_loadgen
-from repro.workloads.mutate import mutate_constant
+from repro.workloads.mutate import constant_sites, mutate_constant
 
 
 def _mutated_stream(functions=20, seed=5, edits=3):
@@ -37,12 +37,10 @@ def _mutated_stream(functions=20, seed=5, edits=3):
 
 
 @pytest.mark.parametrize("technique", ["salssa", "fmsa"])
-@pytest.mark.parametrize("workers,backend", [(0, "process"),
-                                             (2, "process")])
-def test_digest_parity_matrix(technique, workers, backend):
-    """{salssa,fmsa} x {serial,process}: every job matches its batch run."""
+def test_digest_parity_matrix(technique):
+    """{salssa,fmsa}: every job matches its batch run."""
     snapshots, patches = _mutated_stream()
-    with MergeService(workers=workers, backend=backend) as service:
+    with MergeService() as service:
         with ServiceClient(service.host, service.port) as client:
             responses = [client.submit("parity", module=snapshots[0],
                                        technique=technique)]
@@ -56,17 +54,30 @@ def test_digest_parity_matrix(technique, workers, backend):
     assert [r["warm"] for r in responses] == [False] + [True] * len(patches)
 
 
-def test_workers_spawn_once_per_daemon_lifetime():
-    snapshots, patches = _mutated_stream(functions=16, seed=9)
-    with MergeService(workers=2) as service:
+@pytest.mark.parametrize("rejected", [
+    {"functions": ["define i32 @broken( {"]},
+    {"remove": ["no_such_function"]},
+], ids=["unparseable_function", "unknown_removal"])
+def test_rejected_patch_leaves_session_untouched(rejected):
+    """A ``bad_request`` submit applies none of its entries: a later patch
+    of a different function sees exactly one changed function."""
+    module = search_workload(12, seed=2)
+    first, second = [f for f in module.functions if constant_sites(f)][:2]
+    text = print_module(module)
+    rng = random.Random(2)
+    assert mutate_constant(first, rng) and mutate_constant(second, rng)
+    patch_a, patch_b = print_function(first), print_function(second)
+    with MergeService() as service:
         with ServiceClient(service.host, service.port) as client:
-            client.submit("spawned", module=snapshots[0])
-            for patch in patches:
-                response = client.submit("spawned", functions=[patch])
-                assert response["pool_spawns"] == 1
-            info = client.sessions()["sessions"][0]
-            assert info["pool_spawns"] == 1
-            assert info["jobs"] == 1 + len(patches)
+            client.submit("atomic", module=text)
+            from repro.service import ServiceError
+            with pytest.raises(ServiceError) as caught:
+                client.submit("atomic", functions=[patch_a]
+                              + rejected.get("functions", []),
+                              remove=rejected.get("remove"))
+            assert caught.value.code == "bad_request"
+            response = client.submit("atomic", functions=[patch_b])
+    assert response["incremental"]["functions_changed"] == 1
 
 
 def test_session_pinned_options():
