@@ -15,11 +15,7 @@ from .counters import count_construction
 
 def successors(block: BasicBlock) -> List[BasicBlock]:
     """The successor blocks of ``block`` (duplicates removed, order kept)."""
-    result: List[BasicBlock] = []
-    for successor in block.successors():
-        if successor not in result:
-            result.append(successor)
-    return result
+    return list(dict.fromkeys(block.successors()))
 
 
 def predecessors(block: BasicBlock) -> List[BasicBlock]:

@@ -117,18 +117,24 @@ class BasicBlock(Value):
         return len(self.instructions)
 
     def successors(self) -> List["BasicBlock"]:
-        terminator = self.terminator
-        if terminator is None:
+        instructions = self.instructions
+        if not instructions or not instructions[-1].is_terminator():
             return []
-        return [block for block in terminator.successors() if isinstance(block, BasicBlock)]
+        return [operand for operand in instructions[-1]._operands
+                if isinstance(operand, BasicBlock)]
 
     def predecessors(self) -> List["BasicBlock"]:
         """Blocks whose terminator targets this block (in deterministic order)."""
         preds: List[BasicBlock] = []
-        for user, _ in self.uses:
-            if isinstance(user, TerminatorInst) and user.parent is not None:
+        for user, _ in self._uses:
+            if isinstance(user, TerminatorInst):
                 block = user.parent
-                if block not in preds and self in block.successors():
+                if block is None or block in preds:
+                    continue
+                # A terminator that ends its block targets this one through
+                # the operand this use records; only a terminator left
+                # mid-block (during construction) needs the full check.
+                if block.instructions[-1] is user or self in block.successors():
                     preds.append(block)
         return preds
 

@@ -364,7 +364,8 @@ class TerminatorInst(Instruction):
 
     def successors(self) -> List["Value"]:
         """The basic blocks this terminator can transfer control to."""
-        return [op for op in self.operand_values() if isinstance(op.type, LabelType)]
+        return [op for op in self._operands
+                if op is not None and isinstance(op.type, LabelType)]
 
     def replace_successor(self, old, new) -> None:
         """Replace every successor edge to ``old`` with ``new``."""
@@ -561,21 +562,20 @@ class PhiInst(Instruction):
         return self.num_operands() // 2
 
     def incoming(self) -> List[Tuple[Value, Value]]:
-        pairs = []
-        for index in range(0, self.num_operands(), 2):
-            pairs.append((self.get_operand(index), self.get_operand(index + 1)))
-        return pairs
+        operands = self._operands
+        return list(zip(operands[0::2], operands[1::2]))
 
     def incoming_values(self) -> List[Value]:
-        return [value for value, _ in self.incoming()]
+        return self._operands[0::2]
 
     def incoming_blocks(self) -> List[Value]:
-        return [block for _, block in self.incoming()]
+        return self._operands[1::2]
 
     def incoming_value_for_block(self, block) -> Optional[Value]:
-        for value, incoming_block in self.incoming():
-            if incoming_block is block:
-                return value
+        operands = self._operands
+        for index in range(1, len(operands), 2):
+            if operands[index] is block:
+                return operands[index - 1]
         return None
 
     def set_incoming_value_for_block(self, block, value: Value) -> bool:

@@ -43,11 +43,7 @@ class Value:
 
     def users(self) -> List["User"]:
         """The distinct users of this value, in first-use order."""
-        seen = []
-        for user, _ in self._uses:
-            if user not in seen:
-                seen.append(user)
-        return seen
+        return list({user: None for user, _ in self._uses})
 
     def num_uses(self) -> int:
         return len(self._uses)

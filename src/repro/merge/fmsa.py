@@ -35,7 +35,13 @@ from ..transforms.reg2mem import demote_function
 from ..transforms.simplify import simplify_function
 from .alignment import AlignmentResult, align
 from .linearize import linearize
-from .salssa.codegen import MergedFunction, MergeError, SalSSAMerger, SalSSAOptions
+from .salssa.codegen import (
+    MergedFunction,
+    MergeError,
+    SalSSAMerger,
+    SalSSAOptions,
+    rolled_back_on_error,
+)
 
 
 @dataclass
@@ -43,7 +49,6 @@ class FMSAOptions:
     """Configuration of the FMSA baseline."""
 
     run_simplification: bool = True
-    verify_result: bool = False
 
 
 class FMSAMerger:
@@ -94,9 +99,11 @@ class FMSAMerger:
                                        alignment=alignment)
         # Post-merge clean-up: promote what is still promotable and simplify.
         started = time.perf_counter()
-        promote_allocas(merged.function, self.analysis_manager)
-        if self.options.run_simplification:
-            simplify_function(merged.function, manager=self.analysis_manager)
+        with rolled_back_on_error(self.module, merged.function,
+                                  self.analysis_manager):
+            promote_allocas(merged.function, self.analysis_manager)
+            if self.options.run_simplification:
+                simplify_function(merged.function, manager=self.analysis_manager)
         merged.stats.codegen_seconds += time.perf_counter() - started
         merged.stats.alignment_seconds = alignment_seconds
 

@@ -27,8 +27,9 @@ The generation follows the paper's top-down structure:
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...analysis.cfg import reachable_blocks
 from ...analysis.dominators import DominatorTree
@@ -166,20 +167,41 @@ class SalSSAMerger:
 
         started = time.perf_counter()
         state.create_merged_function(name)
-        state.generate_cfg(alignment.pairs)
-        state.add_chaining_branches()
-        state.assign_label_operands()
-        state.assign_data_operands()
-        state.assign_phi_incomings()
-        state.repair_ssa()
-        state.stats.codegen_seconds = time.perf_counter() - started
-
         merged = state.merged
-        if self.options.run_simplification:
-            simplify_function(merged, manager=self.analysis_manager)
-        if self.options.verify_result:
-            verify_function(merged, manager=self.analysis_manager)
+        with rolled_back_on_error(self.module, merged, self.analysis_manager):
+            state.generate_cfg(alignment.pairs)
+            state.add_chaining_branches()
+            state.assign_label_operands()
+            state.assign_data_operands()
+            state.assign_phi_incomings()
+            state.repair_ssa()
+            state.stats.codegen_seconds = time.perf_counter() - started
+
+            if self.options.run_simplification:
+                simplify_function(merged, manager=self.analysis_manager)
+            if self.options.verify_result:
+                verify_function(merged, manager=self.analysis_manager)
         return MergedFunction(merged, first, second, state.param_map, state.stats)
+
+
+@contextmanager
+def rolled_back_on_error(module: Module, merged: Function,
+                         analysis_manager) -> Iterator[None]:
+    """Remove the partly built ``merged`` from ``module`` if the body raises.
+
+    Any exception becomes a :class:`MergeError` chained from the original,
+    so the pass records a failed attempt and keeps a module that verifies.
+    """
+    try:
+        yield
+    except Exception as error:
+        if merged.parent is module:
+            module.remove_function(merged)
+        if analysis_manager is not None:
+            analysis_manager.forget(merged)
+        if isinstance(error, MergeError):
+            raise
+        raise MergeError(f"merging into @{merged.name} failed: {error!r}") from error
 
 
 # ---------------------------------------------------------------------------

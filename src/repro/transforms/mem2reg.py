@@ -123,8 +123,10 @@ def promote_module(module: Module,
 
 def _promote_one(function: Function, alloca: AllocaInst, domtree: DominatorTree,
                  reachable: Set[BasicBlock], preds, stats: Mem2RegStats) -> None:
-    loads = [u for u in alloca.users() if isinstance(u, LoadInst)]
-    stores = [u for u in alloca.users() if isinstance(u, StoreInst)]
+    # A promotable slot's users are exactly its loads and stores.
+    users = alloca.users()
+    stores = [u for u in users if isinstance(u, StoreInst)]
+    access_blocks = {u.parent for u in users}
     value_type = alloca.allocated_type
 
     def_blocks: Set[BasicBlock] = {s.parent for s in stores if s.parent is not None}
@@ -152,6 +154,9 @@ def _promote_one(function: Function, alloca: AllocaInst, domtree: DominatorTree,
         current: Value = phis.get(block) or (
             incoming_value.get(block, undef) if block is entry else
             outgoing_value.get(idom, undef) if idom is not None else undef)
+        if block not in access_blocks:
+            outgoing_value[block] = current
+            continue
         for inst in list(block.instructions):
             if isinstance(inst, LoadInst) and inst.pointer is alloca:
                 inst.replace_all_uses_with(current)
@@ -277,6 +282,7 @@ class SSAReconstructor:
         # definitions themselves.
         use_records = []
         definition_set = set(definitions)
+        definition_blocks = {d.parent for d in definitions}
         for definition in definitions:
             for user, index in definition.uses:
                 if isinstance(user, Instruction) and user not in definition_set:
@@ -291,7 +297,8 @@ class SSAReconstructor:
         # Pruned SSA: only place phi-nodes where the reconstructed variable is
         # live-in, otherwise dominance-frontier placement floods the merged
         # function with dead phi webs.
-        live_in = self._live_in_blocks(definition_set, use_records)
+        live_in = self._live_in_blocks(definition_set, definition_blocks,
+                                       use_records)
 
         phis: Dict[BasicBlock, PhiInst] = {}
         for block in self.domtree.iterated_dominance_frontier(def_blocks):
@@ -302,10 +309,20 @@ class SSAReconstructor:
             phis[block] = phi
             result.inserted_phis.append(phi)
 
-        undef = UndefValue(value_type)
-        outgoing: Dict[BasicBlock, Value] = {}
-        current_at: Dict[Instruction, Value] = {}
+        # The last definition of each block that holds one: the value the
+        # variable has on leaving that block.
+        last_definition: Dict[BasicBlock, Instruction] = {}
+        for block in definition_blocks:
+            for inst in reversed(block.instructions):
+                if inst in definition_set:
+                    last_definition[block] = inst
+                    break
 
+        # Walk the dominator tree over blocks only, recording the value that
+        # enters and the value that leaves each reachable block.
+        undef = UndefValue(value_type)
+        entering: Dict[BasicBlock, Value] = {}
+        outgoing: Dict[BasicBlock, Value] = {}
         for block in self.domtree.dominator_tree_preorder():
             idom = self.domtree.immediate_dominator(block)
             if block in phis:
@@ -316,20 +333,26 @@ class SSAReconstructor:
                 current = outgoing.get(idom, undef)
             else:
                 current = undef
-            for inst in block.instructions:
-                current_at[inst] = current
-                if inst in definition_set:
-                    current = inst
-            outgoing[block] = current
+            entering[block] = current
+            outgoing[block] = last_definition.get(block, current)
 
         # Rewrite non-phi uses with the value reaching the use point, and phi
-        # uses with the value reaching the end of the incoming block.
+        # uses with the value reaching the end of the incoming block.  Only a
+        # use in a block holding a definition scans for the definitions before
+        # it; a use outside every reachable block reads undef.
         for user, index, definition in use_records:
             if isinstance(user, PhiInst):
                 incoming_block = user.get_operand(index + 1)
                 replacement = outgoing.get(incoming_block, undef)
             else:
-                replacement = current_at.get(user, undef)
+                block = user.parent
+                replacement = entering.get(block, undef)
+                if block in entering and block in last_definition:
+                    for inst in block.instructions:
+                        if inst is user:
+                            break
+                        if inst in definition_set:
+                            replacement = inst
             if replacement is user:
                 # A phi should not feed itself through reconstruction; fall back
                 # to the original definition (already dominating in that case).
@@ -350,17 +373,21 @@ class SSAReconstructor:
         return result
 
     def _live_in_blocks(self, definition_set: Set[Instruction],
+                        definition_blocks: Set[BasicBlock],
                         use_records) -> Set[BasicBlock]:
         """Blocks where the reconstructed variable is live on entry.
 
         A block is live-in if some registered use can be reached from its start
         without passing one of the definitions first (standard pruned-SSA
         liveness, computed backwards from the use points).
+        ``definition_blocks`` are the blocks holding the definitions.
         """
         live_in: Set[BasicBlock] = set()
         worklist: List[BasicBlock] = []
 
         def defs_before(block: BasicBlock, boundary: Instruction) -> bool:
+            if block not in definition_blocks:
+                return False
             for inst in block.instructions:
                 if inst is boundary:
                     return False
@@ -371,7 +398,7 @@ class SSAReconstructor:
         def mark_live_out(block: BasicBlock) -> None:
             # Live at the end of `block`: propagate to live-in unless a
             # definition inside the block kills the variable.
-            if any(inst in definition_set for inst in block.instructions):
+            if block in definition_blocks:
                 return
             if block not in live_in:
                 live_in.add(block)

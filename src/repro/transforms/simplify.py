@@ -56,7 +56,11 @@ class SimplifyStats:
                 self.removed_phis + self.folded_selects + self.removed_instructions)
 
 
-def simplify_function(function: Function, max_iterations: int = 50,
+#: Sweeps after which simplification stops even without a fixed point.
+MAX_SWEEPS = 50
+
+
+def simplify_function(function: Function,
                       manager: Optional[FunctionAnalysisManager] = None
                       ) -> SimplifyStats:
     """Run the simplification pipeline on one function until a fixed point.
@@ -69,7 +73,7 @@ def simplify_function(function: Function, max_iterations: int = 50,
     stats = SimplifyStats()
     if function.is_declaration():
         return stats
-    for _ in range(max_iterations):
+    for _ in range(MAX_SWEEPS):
         changed = False
         changed |= _remove_unreachable_blocks(function, stats, manager)
         changed |= _fold_constant_branches(function, stats)
@@ -157,8 +161,11 @@ def _fold_constant_branches(function: Function, stats: SimplifyStats) -> bool:
 def _simplify_phis(function: Function, stats: SimplifyStats) -> bool:
     changed = False
     for block in function.blocks:
+        phis = block.phis()
+        if not phis:
+            continue
         preds = block.predecessors()
-        for phi in list(block.phis()):
+        for phi in phis:
             # Drop incoming entries whose block is no longer a predecessor.
             for incoming_block in list(phi.incoming_blocks()):
                 if incoming_block not in preds:
@@ -170,15 +177,23 @@ def _simplify_phis(function: Function, stats: SimplifyStats) -> bool:
                 stats.removed_phis += 1
                 changed = True
         # Merge identical phi-nodes (same incoming values from same blocks).
+        # Signatures are memoized for this block: absorbing a phi rewrites
+        # the operands of its users only, so their entries are dropped first.
         remaining = block.phis()
+        if len(remaining) < 2:
+            continue
+        signatures: Dict[PhiInst, tuple] = {}
         for index, phi in enumerate(remaining):
             if phi.parent is None:
                 continue
-            signature = _phi_signature(phi)
+            signature = _memoized_signature(signatures, phi)
             for other in remaining[index + 1:]:
                 if other.parent is None:
                     continue
-                if _phi_signature(other) == signature and other.type == phi.type:
+                if _memoized_signature(signatures, other) == signature \
+                        and other.type == phi.type:
+                    for user in other.users():
+                        signatures.pop(user, None)
                     other.replace_all_uses_with(phi)
                     other.erase_from_parent()
                     stats.removed_phis += 1
@@ -210,15 +225,23 @@ def _phi_unique_value(phi: PhiInst) -> Optional[Value]:
     return None
 
 
-def _phi_signature(phi: PhiInst):
-    def value_key(value: Value):
-        if isinstance(value, Constant):
-            return ("const", value.type, value.value)
-        if isinstance(value, UndefValue):
-            return ("undef", value.type)
-        return ("id", id(value))
+def _memoized_signature(signatures: Dict[PhiInst, tuple], phi: PhiInst) -> tuple:
+    signature = signatures.get(phi)
+    if signature is None:
+        signature = signatures[phi] = _phi_signature(phi)
+    return signature
 
-    return tuple((value_key(value), id(block)) for value, block in
+
+def _value_key(value: Value):
+    if isinstance(value, Constant):
+        return ("const", value.type, value.value)
+    if isinstance(value, UndefValue):
+        return ("undef", value.type)
+    return ("id", id(value))
+
+
+def _phi_signature(phi: PhiInst) -> tuple:
+    return tuple((_value_key(value), id(block)) for value, block in
                  sorted(phi.incoming(), key=lambda pair: id(pair[1])))
 
 
