@@ -1,20 +1,20 @@
 """Candidate-search scaling: exhaustive vs size-bucket vs MinHash/LSH.
 
-Not a paper figure — this benchmarks the ``repro.search`` subsystem that
-replaces the merge pass's O(N) per-query candidate scan.  For growing
-mibench-like modules it reports, per strategy: index build time, per-query
-time, top-k recall (identity and distance-aware quality) against the
-exhaustive reference, and the fraction of candidate pairs actually scanned.
+Not a paper figure — this benchmarks the ``repro.search`` subsystem behind
+the merge pass's candidate ranking.  For growing mibench-like modules it
+reports, per strategy: index build time, per-query time, top-k recall
+(identity and distance-aware quality) against the exhaustive reference, and
+the fraction of candidate pairs actually scored.
 
-Expected shape: the exhaustive query time grows linearly with the module
-(quadratic per module pass), the LSH query time stays near-flat, and LSH
-recall holds >= 0.9 while scanning < 25% of the pairs once modules reach a
-few hundred functions.  ``REPRO_FULL=1`` extends the sweep to 8192 functions
-(module generation is batched — ``generate_program_in_batches`` — which is
-what makes the points past 4096 affordable; the 8192 point only runs with
-``REPRO_SMOKE=0``, i.e. never in the CI smoke lane).  ``REPRO_SMOKE=1``
-shrinks the sweep to the smallest size that still exercises the quality
-assertions (the CI smoke step).
+Expected shape: the exhaustive index stays exact while its size bound keeps
+it to a small share of the pairs, and LSH recall holds >= 0.9 while scanning
+< 25% of the pairs once modules reach a few hundred functions.
+``REPRO_FULL=1`` extends the sweep to 8192 functions (module generation is
+batched — ``generate_program_in_batches`` — which is what makes the points
+past 4096 affordable; the 8192 point only runs with ``REPRO_SMOKE=0``, i.e.
+never in the CI smoke lane).  ``REPRO_SMOKE=1`` shrinks the sweep to the
+smallest size that still exercises the quality assertions (the CI smoke
+step).
 """
 
 import os
@@ -55,4 +55,9 @@ def test_candidate_search_scaling(benchmark):
     # extra_info above but not asserted, so CI timing noise cannot fail it.)
     for row in lsh_rows:
         assert row.quality >= 0.9, (row.num_functions, row.quality)
+        assert row.scan_fraction < 0.25, (row.num_functions, row.scan_fraction)
+    # The exhaustive index is exact and pruned: a return to the full scan
+    # (scan fraction 1.0) fails here.
+    for row in result.for_strategy("exhaustive"):
+        assert row.recall == 1.0 and row.quality == 1.0, row
         assert row.scan_fraction < 0.25, (row.num_functions, row.scan_fraction)

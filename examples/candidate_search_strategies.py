@@ -2,15 +2,14 @@
 """Candidate-search strategies: scaling the merge pass past small modules.
 
 The merge pass explores, for each function, the ``t`` most similar partners
-by fingerprint distance.  The seed found them with a full scan per query;
-the ``repro.search`` subsystem replaces that with pluggable indexes.  This
-example:
+by fingerprint distance.  The ``repro.search`` subsystem finds them with
+pluggable indexes.  This example:
 
 1. generates a mibench-like module with a few hundred functions,
 2. runs the same SalSSA merge pass with each search strategy,
 3. prints merge results and the per-strategy search counters — showing the
-   MinHash/LSH index reaching the exhaustive result while scanning a small
-   fraction of the candidate pairs.
+   exact, size-bounded exhaustive index and the approximate MinHash/LSH
+   index each scoring a small fraction of the candidate pairs.
 
 Run with:  PYTHONPATH=src python examples/candidate_search_strategies.py
 """

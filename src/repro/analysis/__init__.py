@@ -28,7 +28,7 @@ from .manager import (
     ModuleAnalysisManager,
     default_analyses,
 )
-from .fingerprint import CandidateRanking, Fingerprint, RankedCandidate
+from .fingerprint import Fingerprint, RankedCandidate
 from .size_model import (
     ARM_THUMB,
     SizeModel,

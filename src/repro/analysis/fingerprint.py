@@ -14,8 +14,8 @@ orders the search.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -25,7 +25,6 @@ from ..ir.instructions import (
     Instruction,
     PhiInst,
 )
-from ..ir.module import Module
 from .counters import count_construction
 
 #: The opcode buckets used by the fingerprint vector.  Related opcodes share a
@@ -126,10 +125,10 @@ def rank_candidates(fingerprint: Fingerprint,
                     similarity_floor: float = 0.0) -> List[RankedCandidate]:
     """Top-``threshold`` of ``candidates`` by distance to ``fingerprint``.
 
-    The shared ranking core of :class:`CandidateRanking` and every
-    ``repro.search`` index: candidates are ordered by the seed's
-    ``(distance, -size, name)`` key — ``nsmallest`` over that key reproduces
-    the former full sort's ordering without sorting the whole population.
+    Candidates are ordered by the ``(distance, -size, name)`` key every
+    ``repro.search`` index ranks by; ``nsmallest`` over that key gives the
+    full sort's order without sorting the whole pool.  The approximate
+    indexes rank their candidate pools with it.
     """
     counts = fingerprint.counts
     scored = []
@@ -149,49 +148,3 @@ def rank_candidates(fingerprint: Fingerprint,
     return [RankedCandidate(other, distance,
                             fingerprint.similarity(other_fingerprint))
             for distance, _, _, other, other_fingerprint in top]
-
-
-class CandidateRanking:
-    """Ranks candidate merge partners for every function of a module.
-
-    The ranking mirrors the FMSA strategy the paper reuses: functions are
-    processed from largest to smallest (§5.5), and for each function the ``t``
-    most similar remaining functions (by fingerprint distance) are attempted.
-    """
-
-    def __init__(self, module: Module, min_size: int = 2) -> None:
-        self.module = module
-        self.min_size = min_size
-        self.fingerprints: Dict[Function, Fingerprint] = {}
-        for function in module.defined_functions():
-            if function.num_instructions() >= min_size:
-                self.fingerprints[function] = Fingerprint.of(function)
-
-    def functions_by_size(self) -> List[Function]:
-        """Candidate functions ordered from largest to smallest."""
-        return sorted(self.fingerprints, key=lambda f: -self.fingerprints[f].size)
-
-    def candidates_for(self, function: Function, threshold: int,
-                       exclude: Optional[set] = None) -> List[RankedCandidate]:
-        """The top-``threshold`` most similar candidates for ``function``."""
-        fingerprint = self.fingerprints.get(function)
-        if fingerprint is None or threshold <= 0:
-            return []
-        exclude = exclude or set()
-        return rank_candidates(
-            fingerprint,
-            ((other, other_fingerprint)
-             for other, other_fingerprint in self.fingerprints.items()
-             if other is not function and other not in exclude),
-            threshold)
-
-    def remove(self, function: Function) -> None:
-        """Forget a function (e.g. once it has been merged away)."""
-        self.fingerprints.pop(function, None)
-
-    def update(self, function: Function) -> None:
-        """Recompute the fingerprint of a (new or rewritten) function."""
-        if function.num_instructions() >= self.min_size:
-            self.fingerprints[function] = Fingerprint.of(function)
-        else:
-            self.fingerprints.pop(function, None)

@@ -103,6 +103,35 @@ class Function(GlobalValue):
         """
         self._content_digest = (self._mutation_epoch, digest)
 
+    # ------------------------------------------------------------ lifetime
+    def drop_all_references(self) -> None:
+        """Detach the body from every value that outlives this function.
+
+        In the spirit of LLVM's ``Function::dropAllReferences``: call it
+        where a function leaves for good (a rejected trial merge, a scratch
+        clone).  Each operand defined outside the function (a callee, a
+        global, another function's value) forgets its use here and the slot
+        is cleared, so no live value reaches into the body and the collector
+        can free it.  Constants and undefs keep no use list and stay.  The
+        body must not be used afterwards.
+        """
+        for block in self.blocks:
+            for inst in block.instructions:
+                operands = inst._operands
+                for index, value in enumerate(operands):
+                    if isinstance(value, Instruction):
+                        owner = value.parent
+                        if owner is not None and owner.parent is self:
+                            continue
+                    elif isinstance(value, (BasicBlock, Argument)):
+                        if value.parent is self:
+                            continue
+                    elif not isinstance(value, GlobalValue):
+                        continue  # None, or a value without a use list
+                    value._remove_newest_use(inst, index)
+                    operands[index] = None
+        self.notify_mutated()
+
     # ------------------------------------------------------------- blocks
     @property
     def entry_block(self) -> Optional[BasicBlock]:

@@ -8,8 +8,8 @@ code generators and by mem2reg/SSA reconstruction — are cheap and safe.
 The class hierarchy is deliberately close to LLVM's:
 
 ``Value``
-    ``Constant`` (integer/float/bool/null constants)
-    ``UndefValue``
+    ``Constant`` (integer/float/bool/null constants; no use list)
+    ``UndefValue`` (no use list)
     ``Argument`` (formal function parameter)
     ``GlobalValue`` (``GlobalVariable`` and ``Function`` live in other modules)
     ``User`` → ``Instruction`` (defined in :mod:`repro.ir.instructions`)
@@ -59,6 +59,19 @@ class Value:
             self._uses.remove((user, index))
         except ValueError:
             pass
+
+    def _remove_newest_use(self, user: "User", index: int) -> None:
+        """:meth:`_remove_use`, searching from the newest use.
+
+        A function built last holds the last entries of its callees' long
+        use lists, so a search from the front would scan them all.
+        """
+        uses = self._uses
+        for position in range(len(uses) - 1, -1, -1):
+            entry = uses[position]
+            if entry[0] is user and entry[1] == index:
+                del uses[position]
+                return
 
     def replace_all_uses_with(self, replacement: "Value") -> None:
         """Rewrite every use of this value to use ``replacement`` instead."""
@@ -188,7 +201,23 @@ class User(Value):
                 yield operand
 
 
-class Constant(Value):
+class _UseFreeValue(Value):
+    """An immutable value that keeps no use list.
+
+    Constants and undefs are shared freely between functions and between a
+    module and its copies.  Nothing asks for their users, and a use list
+    would make each of them keep every user alive, and with it every
+    function that ever held one.
+    """
+
+    def _add_use(self, user: "User", index: int) -> None:
+        pass
+
+    def _remove_use(self, user: "User", index: int) -> None:
+        pass
+
+
+class Constant(_UseFreeValue):
     """A literal constant of integer, float or pointer (null) type."""
 
     def __init__(self, type_: Type, value) -> None:
@@ -222,7 +251,7 @@ class Constant(Value):
         return hash((type(self).__name__, self.type, self.value))
 
 
-class UndefValue(Value):
+class UndefValue(_UseFreeValue):
     """The undefined value of a given type.
 
     SalSSA uses undef for phi incoming values that flow from basic blocks

@@ -82,30 +82,37 @@ class FMSAMerger:
                 f"@{first.name} and @{second.name} have different return types")
 
         # Work on demoted clones; the originals are only replaced if the merge
-        # is committed by the pass manager.
+        # is committed by the pass manager.  The clones are dropped once the
+        # merge is done with them, so they do not outlive it.
         scratch_first, _ = clone_function(first, f"{first.name}.fmsa.tmp0")
         scratch_second, _ = clone_function(second, f"{second.name}.fmsa.tmp1")
-        demote_function(scratch_first)
-        demote_function(scratch_second)
+        try:
+            demote_function(scratch_first)
+            demote_function(scratch_second)
 
-        started = time.perf_counter()
-        alignment = align(linearize(scratch_first, include_phis=True),
-                          linearize(scratch_second, include_phis=True))
-        alignment_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            alignment = align(linearize(scratch_first, include_phis=True),
+                              linearize(scratch_second, include_phis=True))
+            alignment_seconds = time.perf_counter() - started
 
-        merged = self._generator.merge(scratch_first, scratch_second,
-                                       name=name or self.module.unique_function_name(
-                                           f"{first.name}.{second.name}.fmsa"),
-                                       alignment=alignment)
-        # Post-merge clean-up: promote what is still promotable and simplify.
-        started = time.perf_counter()
-        with rolled_back_on_error(self.module, merged.function,
-                                  self.analysis_manager):
-            promote_allocas(merged.function, self.analysis_manager)
-            if self.options.run_simplification:
-                simplify_function(merged.function, manager=self.analysis_manager)
-        merged.stats.codegen_seconds += time.perf_counter() - started
-        merged.stats.alignment_seconds = alignment_seconds
+            merged = self._generator.merge(
+                scratch_first, scratch_second,
+                name=name or self.module.unique_function_name(
+                    f"{first.name}.{second.name}.fmsa"),
+                alignment=alignment)
+            # Post-merge clean-up: promote what is still promotable and simplify.
+            started = time.perf_counter()
+            with rolled_back_on_error(self.module, merged.function,
+                                      self.analysis_manager):
+                promote_allocas(merged.function, self.analysis_manager)
+                if self.options.run_simplification:
+                    simplify_function(merged.function,
+                                      manager=self.analysis_manager)
+            merged.stats.codegen_seconds += time.perf_counter() - started
+            merged.stats.alignment_seconds = alignment_seconds
+        finally:
+            scratch_first.drop_all_references()
+            scratch_second.drop_all_references()
 
         # Report the merge against the *original* functions, not the scratch clones.
         return MergedFunction(merged.function, first, second, merged.param_map,

@@ -80,7 +80,7 @@ class MergePassOptions:
     exploration_threshold: int = 1
     #: Candidate-search strategy: a registered name ("exhaustive",
     #: "size_buckets", "minhash_lsh") or a full SearchStrategy config.  The
-    #: default reproduces the seed's full-scan ranking bit for bit.
+    #: default ranks exactly like a full scan, ties included.
     search_strategy: Union[str, SearchStrategy] = "exhaustive"
     size_model: SizeModel = X86_64
     cost_model: Optional[CostModel] = None
@@ -259,6 +259,7 @@ class FunctionMergingPass:
             if merged.function is None:  # ghost attempt: nothing resident
                 return
             module.remove_function(merged.function)
+            merged.function.drop_all_references()
             if manager is not None:
                 manager.forget(merged.function)
 

@@ -191,12 +191,14 @@ def rolled_back_on_error(module: Module, merged: Function,
 
     Any exception becomes a :class:`MergeError` chained from the original,
     so the pass records a failed attempt and keeps a module that verifies.
+    The removed function drops its references, so it is freed.
     """
     try:
         yield
     except Exception as error:
         if merged.parent is module:
             module.remove_function(merged)
+        merged.drop_all_references()
         if analysis_manager is not None:
             analysis_manager.forget(merged)
         if isinstance(error, MergeError):

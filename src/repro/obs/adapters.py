@@ -41,7 +41,7 @@ def observe_search_stats(registry, stats) -> None:
         strategy=strategy).inc(stats.candidates_returned)
     registry.counter(
         "repro_search_population_available_total",
-        help="Candidates an exhaustive scan would have scored.",
+        help="Candidates a full scan would have scored.",
         strategy=strategy).inc(stats.population_available)
     for op, count in (("insert", stats.inserts), ("remove", stats.removals),
                       ("update", stats.updates)):
@@ -51,7 +51,7 @@ def observe_search_stats(registry, stats) -> None:
             strategy=strategy, op=op).inc(count)
     registry.gauge(
         "repro_search_scan_fraction",
-        help="Fraction of the exhaustive candidate-pair work this run did.",
+        help="Fraction of the full scan's candidate-pair work this run did.",
         merge_mode="max", strategy=strategy).set(stats.scan_fraction)
 
 

@@ -3,7 +3,8 @@
 Decouples "find promising merge partners" from the merge driver behind the
 :class:`CandidateIndex` interface, with three pluggable strategies:
 
-* ``exhaustive`` — the seed's full O(N) scan per query (the exact reference),
+* ``exhaustive`` — exact ranking that walks functions in size order and
+  stops at the size bound (the reference),
 * ``size_buckets`` — log-scale size bucketing, scans only comparable sizes,
 * ``minhash_lsh`` — shingled opcode-sequence MinHash signatures in banded LSH
   tables for near-constant-time top-k retrieval.

@@ -1,28 +1,26 @@
 """Candidate indexes: where "find promising merge partners" lives.
 
 The merge pass (paper §5.1) needs, for each function, the ``t`` most similar
-other functions by fingerprint distance.  The seed computed this with a full
-O(N) scan per query — O(N²) per module and the dominant cost on large
-modules.  This module decouples that search behind a :class:`CandidateIndex`
-interface with three strategies:
+other functions by fingerprint distance.  A full O(N) scan per query makes
+that O(N²) per module.  This module answers it behind a
+:class:`CandidateIndex` interface with three strategies:
 
-* :class:`ExhaustiveIndex` — the extracted seed behaviour: score every live
-  function per query.  Exact, and the reference the others are measured
-  against.
+* :class:`ExhaustiveIndex` — exact: walks the functions in size order outward
+  from the query's size and stops once the size gap, a lower bound on the
+  distance, exceeds the ``t``-th best distance found.  Its answers equal a
+  full scan's, ties included, and it is the reference the others are
+  measured against.
 * :class:`SizeBucketIndex` — functions live in log2(size) buckets and a query
-  only scans buckets within a radius of its own.  Exploits the fact that the
-  Manhattan fingerprint distance is bounded below by the size difference, so
-  far-away buckets can rarely win.
+  only scans buckets within a radius of its own.  Uses the same size bound
+  as a heuristic, so far-away buckets are skipped even when they could win.
 * :class:`MinHashLSHIndex` — order-sensitive signatures: the bucketised
   opcode sequence is shingled into k-grams, MinHash-compressed, and stored in
   banded LSH tables.  A query only scores functions sharing at least one band
   key, which for clone families is a tiny, near-constant-size pool.
 
-All three return :class:`~repro.analysis.fingerprint.RankedCandidate` lists
-ranked by the *same* ``(distance, -size, name)`` key as the seed's
-``CandidateRanking``, so the exhaustive strategy is bit-identical to the old
-behaviour and the sub-linear ones are conservative over-approximations (with
-an optional full-scan fallback when a probe comes back too small).
+All three rank by the same ``(distance, -size, name)`` key; the two
+approximate ones score a pool and fall back to a full scan when the pool
+comes back too small.
 
 Indexes are incremental: the merge pass calls :meth:`CandidateIndex.remove`
 for consumed functions and :meth:`CandidateIndex.update` for freshly merged
@@ -35,6 +33,8 @@ import hashlib
 import random
 import time
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right, insort
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.counters import count_construction
@@ -54,9 +54,8 @@ class CandidateIndex(ABC):
     """Maintains per-function fingerprints and answers top-k partner queries.
 
     Subclasses implement ``_insert`` / ``_discard`` (structure maintenance)
-    and ``_candidate_pool`` (which functions a query scores).  Ranking,
-    fingerprint bookkeeping and stats recording are shared here, so every
-    strategy orders survivors identically to the exhaustive reference.
+    and ``_search`` (one query).  Fingerprint bookkeeping and stats recording
+    are shared here.
     """
 
     strategy_name = "abstract"
@@ -191,6 +190,149 @@ class CandidateIndex(ABC):
         exclude = exclude or set()
         query_started = time.perf_counter() if self._query_timer is not None \
             else 0.0
+        ranked, scanned, used_fallback = self._search(
+            function, fingerprint, threshold, exclude)
+        self.stats.record_query(scanned=scanned, returned=len(ranked),
+                                population=max(0, len(self.fingerprints) - 1))
+        if self._query_timer is not None:
+            self._query_timer.observe(time.perf_counter() - query_started)
+            if used_fallback:
+                self._fallback_counter.inc()
+        return ranked
+
+    # ------------------------------------------------------------- subclass
+    @abstractmethod
+    def _insert(self, function: Function, fingerprint: Fingerprint) -> None:
+        """Add a function to the strategy's search structure."""
+
+    @abstractmethod
+    def _discard(self, function: Function, fingerprint: Fingerprint) -> None:
+        """Remove a function from the strategy's search structure."""
+
+    @abstractmethod
+    def _search(self, function: Function, fingerprint: Fingerprint,
+                threshold: int, exclude: set
+                ) -> Tuple[List[RankedCandidate], int, bool]:
+        """One query: the ranked answer, how many candidates were scored,
+        and whether the query fell back to a full population scan.
+
+        Never scores or returns the query function or ``exclude`` members.
+        """
+
+
+class ExhaustiveIndex(CandidateIndex):
+    """Exact ranking that scores only the candidates that could win.
+
+    A fingerprint's opcode-bucket counts sum to its size, so the Manhattan
+    distance between two fingerprints is never less than the difference of
+    their sizes.  The index keeps its functions in size
+    order, walks outward from the query's size, nearest gap first, and stops
+    once the gap is strictly greater than the ``threshold``-th best distance
+    found so far: nothing farther out can reach the top ``threshold``, and a
+    candidate whose gap equals that distance may still tie on it and win on
+    size or name.  The answer is therefore the full scan's, ties included.
+    """
+
+    strategy_name = "exhaustive"
+
+    def __init__(self, module: Module, min_size: int = 2,
+                 strategy: Optional[SearchStrategy] = None,
+                 stats: Optional[SearchStats] = None,
+                 analysis_manager=None,
+                 artifact_store=None,
+                 precomputed=None) -> None:
+        #: Indexed functions in ascending size order, with their sizes in a
+        #: parallel list to bisect.
+        self._sizes: List[int] = []
+        self._by_size: List[Function] = []
+        super().__init__(module, min_size=min_size, strategy=strategy, stats=stats,
+                         analysis_manager=analysis_manager,
+                         artifact_store=artifact_store,
+                         precomputed=precomputed)
+
+    def _insert(self, function: Function, fingerprint: Fingerprint) -> None:
+        position = bisect_right(self._sizes, fingerprint.size)
+        self._sizes.insert(position, fingerprint.size)
+        self._by_size.insert(position, function)
+
+    def _discard(self, function: Function, fingerprint: Fingerprint) -> None:
+        size = fingerprint.size
+        position = self._by_size.index(function,
+                                       bisect_left(self._sizes, size),
+                                       bisect_right(self._sizes, size))
+        del self._sizes[position]
+        del self._by_size[position]
+
+    def _search(self, function: Function, fingerprint: Fingerprint,
+                threshold: int, exclude: set
+                ) -> Tuple[List[RankedCandidate], int, bool]:
+        sizes = self._sizes
+        members = self._by_size
+        fingerprints = self.fingerprints
+        floor = self.strategy.similarity_floor
+        counts = fingerprint.counts
+        size = fingerprint.size
+        end = len(sizes)
+        above = bisect_left(sizes, size)
+        below = above - 1
+        # The best ``threshold`` candidates so far, ascending by the ranking
+        # key ``(distance, -size, name)``; the walk-order tie-break keeps
+        # the comparison off the function objects.
+        best: list = []
+        bound = -1  # the threshold-th best distance, once ``best`` is full
+        scanned = 0
+        while True:
+            if below >= 0 and (above >= end
+                               or size - sizes[below] <= sizes[above] - size):
+                position = below
+                gap = size - sizes[below]
+                below -= 1
+            elif above < end:
+                position = above
+                gap = sizes[above] - size
+                above += 1
+            else:
+                break
+            if gap > bound >= 0:
+                break
+            other = members[position]
+            if other is function or other in exclude:
+                continue
+            other_fingerprint = fingerprints[other]
+            scanned += 1
+            distance = sum(map(abs, map(sub, counts, other_fingerprint.counts)))
+            if floor > 0.0:
+                total = size + other_fingerprint.size
+                if total and 1.0 - distance / total < floor:
+                    continue
+            if bound >= 0 and distance > bound:
+                continue
+            entry = (distance, -other_fingerprint.size, other.name, scanned,
+                     other, other_fingerprint)
+            if len(best) == threshold:
+                if entry > best[-1]:
+                    continue
+                best.pop()
+            insort(best, entry)
+            if len(best) == threshold:
+                bound = best[-1][0]
+        ranked = [RankedCandidate(other, distance,
+                                  fingerprint.similarity(other_fingerprint))
+                  for distance, _, _, _, other, other_fingerprint in best]
+        return ranked, scanned, False
+
+
+class _PooledIndex(CandidateIndex):
+    """An approximate index: score a strategy-chosen pool of candidates.
+
+    Subclasses implement ``_candidate_pool``; the pool is ranked by the
+    shared ``(distance, -size, name)`` key, and a pool smaller than the
+    request falls back to scanning the rest of the population.
+    """
+
+    def _search(self, function: Function, fingerprint: Fingerprint,
+                threshold: int, exclude: set
+                ) -> Tuple[List[RankedCandidate], int, bool]:
         floor = self.strategy.similarity_floor
         pairs = list(self._candidate_pool(function, fingerprint, threshold, exclude))
         ranked = rank_candidates(fingerprint, pairs, threshold, floor)
@@ -216,13 +358,7 @@ class CandidateIndex(ABC):
                     ranked, rank_candidates(fingerprint, extra, threshold, floor),
                     threshold)
                 scanned += len(extra)
-        self.stats.record_query(scanned=scanned, returned=len(ranked),
-                                population=max(0, len(self.fingerprints) - 1))
-        if self._query_timer is not None:
-            self._query_timer.observe(time.perf_counter() - query_started)
-            if used_fallback:
-                self._fallback_counter.inc()
-        return ranked
+        return ranked, scanned, used_fallback
 
     def _available_candidates(self, function: Function, exclude: set) -> int:
         """How many indexed candidates a full scan for ``function`` would score."""
@@ -246,20 +382,11 @@ class CandidateIndex(ABC):
 
         The single home of the self/exclude pre-filter: every
         ``_candidate_pool`` implementation routes through it, and
-        :meth:`candidates_for` trusts the returned pool (it used to re-filter
+        :meth:`_search` trusts the returned pool (it used to re-filter
         defensively, doing the same membership tests twice per candidate).
         """
         return [(other, other_fingerprint) for other, other_fingerprint in pairs
                 if other is not function and other not in exclude]
-
-    # ------------------------------------------------------------- subclass
-    @abstractmethod
-    def _insert(self, function: Function, fingerprint: Fingerprint) -> None:
-        """Add a function to the strategy's search structure."""
-
-    @abstractmethod
-    def _discard(self, function: Function, fingerprint: Fingerprint) -> None:
-        """Remove a function from the strategy's search structure."""
 
     @abstractmethod
     def _candidate_pool(self, function: Function, fingerprint: Fingerprint,
@@ -271,23 +398,6 @@ class CandidateIndex(ABC):
         raw pool through :meth:`_filter_pairs` (the caller trusts the result
         and does not re-filter).
         """
-
-
-class ExhaustiveIndex(CandidateIndex):
-    """The seed's full-scan ranking, extracted behind the index interface."""
-
-    strategy_name = "exhaustive"
-
-    def _insert(self, function: Function, fingerprint: Fingerprint) -> None:
-        pass
-
-    def _discard(self, function: Function, fingerprint: Fingerprint) -> None:
-        pass
-
-    def _candidate_pool(self, function: Function, fingerprint: Fingerprint,
-                        threshold: int, exclude: set
-                        ) -> Iterable[Tuple[Function, Fingerprint]]:
-        return self._filter_pairs(self.fingerprints.items(), function, exclude)
 
 
 #: Modulus of the universal hash family: the Mersenne prime 2^61 - 1.
@@ -323,7 +433,7 @@ def _fingerprint_tokens(fingerprint: Fingerprint) -> List[int]:
             for count in range(1, total + 1)] or [0]
 
 
-class SizeBucketIndex(CandidateIndex):
+class SizeBucketIndex(_PooledIndex):
     """Log-scale size bucketing: only comparably-sized functions are scanned.
 
     The fingerprint distance between two functions is at least the difference
@@ -582,7 +692,7 @@ def valid_probe_gaps(payload, expected_length: int) -> bool:
                     for value in payload))
 
 
-class MinHashLSHIndex(CandidateIndex):
+class MinHashLSHIndex(_PooledIndex):
     """Shingled-opcode MinHash signatures in banded LSH tables.
 
     Each function's bucketised opcode sequence is cut into ``shingle_size``

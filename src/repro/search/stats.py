@@ -4,7 +4,7 @@ Every :class:`~repro.search.index.CandidateIndex` owns a :class:`SearchStats`
 and records one observation per ``candidates_for`` query: how many candidates
 it actually scored against the query fingerprint (*scanned*), how many it
 returned, and how many it *could* have scored (the index population at query
-time, which is what the exhaustive strategy scans).  The ratio of the two
+time, which is what a full scan scores).  The ratio of the two
 totals — :attr:`SearchStats.scan_fraction` — is the headline number for the
 sub-linear strategies: the MinHash/LSH index is only worth its build cost when
 it keeps this well below 1.0 without losing recall.
@@ -32,7 +32,7 @@ class SearchStats:
     #: Candidates returned to the caller, summed over queries.
     candidates_returned: int = 0
     #: Index population available per query, summed over queries.  This is the
-    #: number of candidates an exhaustive scan would have scored, so
+    #: number of candidates a full scan would have scored, so
     #: ``candidates_scanned / population_available`` is the scan fraction.
     population_available: int = 0
     #: Incremental maintenance traffic after the initial build.  Each call
@@ -52,7 +52,7 @@ class SearchStats:
     # ----------------------------------------------------------- aggregates
     @property
     def scan_fraction(self) -> float:
-        """Fraction of the exhaustive candidate-pair work this index did."""
+        """Fraction of the full scan's candidate-pair work this index did."""
         if self.population_available == 0:
             return 0.0
         return self.candidates_scanned / self.population_available

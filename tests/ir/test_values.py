@@ -87,3 +87,63 @@ class TestUseLists:
         i1 = BinaryInst("add", a, a)
         i2 = BinaryInst("sub", a, a)
         assert a.users() == [i1, i2]
+
+
+class TestUseFreeValues:
+    def test_constants_and_undefs_keep_no_use_list(self):
+        c = const_int(I32, 3)
+        u = undef(I32)
+        inst = BinaryInst("add", c, u)
+        assert inst.lhs is c and inst.rhs is u
+        assert c.num_uses() == 0 and not c.is_used() and c.users() == []
+        assert u.num_uses() == 0 and u.uses == ()
+        inst.set_operand(0, u)
+        inst.drop_all_operands()
+        assert u.num_uses() == 0
+
+
+class TestDropAllReferences:
+    SOURCE = """
+declare i32 @ext(i32)
+@g = global i32 0
+
+define i32 @f(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %v = load i32, i32* @g
+  %b = call i32 @ext(i32 %a)
+  %c = add i32 %b, %v
+  ret i32 %c
+}
+
+define i32 @h(i32 %y) {
+entry:
+  %d = mul i32 %y, 2
+  ret i32 %d
+}
+"""
+
+    def test_detaches_only_values_that_outlive_the_function(self):
+        from repro.ir import parse_module
+
+        module = parse_module(self.SOURCE)
+        f = module.get_function("f")
+        callee = module.get_function("ext")
+        variable = module.get_global("g")
+        foreign, foreign_ret = module.get_function("h").blocks[0].instructions
+        a, v, call, c, _ = f.blocks[0].instructions
+        # A reference into another function, as a merge rolled back halfway
+        # through code generation leaves behind.
+        c.set_operand(1, foreign)
+        assert foreign.users() == [foreign_ret, c]
+        epoch = f.mutation_epoch
+
+        f.drop_all_references()
+
+        assert callee.users() == [] and variable.users() == []
+        assert foreign.users() == [foreign_ret]
+        assert call.get_operand(0) is None and c.get_operand(1) is None
+        # Values local to the function keep their uses.
+        assert a.users() == [call] and call.users() == [c]
+        assert f.args[0].users() == [a]
+        assert f.mutation_epoch > epoch

@@ -8,7 +8,7 @@ incremental remove/update maintenance, the strategy registry, and the
 
 import pytest
 
-from repro.analysis.fingerprint import CandidateRanking, Fingerprint, opcode_shingles
+from repro.analysis.fingerprint import Fingerprint, opcode_shingles
 from repro.harness.experiments import search_workload
 from repro.harness.metrics import combine_search_stats
 from repro.harness.pipeline import run_pipeline
@@ -29,6 +29,8 @@ from repro.search.stats import quality_recall
 from repro.transforms.simplify import simplify_module
 from repro.workloads.generator import generate_program, simple_spec
 from repro.workloads.mibench_like import MIBENCH
+
+from .reference import CandidateRanking
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,7 @@ class TestRegistry:
 
 
 class TestExhaustiveParity:
-    """ExhaustiveIndex must reproduce the legacy CandidateRanking bit for bit."""
+    """ExhaustiveIndex must reproduce the full-scan reference bit for bit."""
 
     def test_candidates_match_legacy_ranking(self, small_module):
         ranking = CandidateRanking(small_module, min_size=3)
