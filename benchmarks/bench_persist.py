@@ -2,18 +2,18 @@
 
 Not a paper figure — this benchmarks the ``repro.persist`` subsystem that
 gives repeated pipeline runs a content-addressed on-disk home for their
-process-external artifacts (fingerprints, MinHash/LSH signatures, cost-model
-function sizes).  For each module size it runs the identical pipeline twice
-against one artifact store: the first (cold) run populates it, the second
-(warm) run loads everything whose content digest the store already knows.
+process-external artifacts (fingerprints and cost-model function sizes).
+For each module size it runs the identical pipeline twice against one
+artifact store: the first (cold) run populates it, the second (warm) run
+loads everything whose content digest the store already knows.
 
 Expected shape — and the subsystem's acceptance bar, asserted below:
 
 * the warm run's merge report is **bit-identical** to the cold run's
   (digests compared field by field, wall-clock excluded);
-* the warm run computes **>= 80% fewer** MinHash signatures and fingerprints
-  than the cold run (measured with ``repro.analysis.counters``, so the claim
-  is counted, not assumed — in practice the warm run computes zero);
+* the warm run computes **>= 80% fewer** fingerprints than the cold run
+  (measured with ``repro.analysis.counters``, so the claim is counted, not
+  assumed — in practice the warm run computes zero);
 * cold-vs-warm wall time is recorded in ``extra_info`` but not asserted, so
   CI timing noise cannot fail the benchmark.
 
@@ -43,20 +43,15 @@ def test_warm_start_pipeline(benchmark, tmp_path):
                   f"{format_store_stats(row.persist_stats)}")
     largest = max(SIZES)
     benchmark.extra_info["warm_speedup"] = round(result.speedup(largest), 2)
-    benchmark.extra_info["signature_reduction"] = round(
-        result.computation_reduction(largest, "signatures"), 3)
     benchmark.extra_info["fingerprint_reduction"] = round(
-        result.computation_reduction(largest, "fingerprints"), 3)
+        result.fingerprint_reduction(largest), 3)
     warm = result.row(largest, "warm")
     append_trend(
         "persist_warm_start", num_functions=largest,
-        signature_reduction=round(
-            result.computation_reduction(largest, "signatures"), 4),
-        fingerprint_reduction=round(
-            result.computation_reduction(largest, "fingerprints"), 4),
+        fingerprint_reduction=round(result.fingerprint_reduction(largest), 4),
         warm_hit_rate=round(warm.persist_stats.hit_rate, 4)
         if warm is not None and warm.persist_stats is not None else 0.0,
-        warm_recomputed=warm.signatures_computed if warm is not None else 0,
+        warm_recomputed=warm.fingerprints_computed if warm is not None else 0,
         speedup=round(result.speedup(largest), 3),
         digests_match=all(result.digests_match(s) for s in SIZES))
     # The acceptance bar for the subsystem.  (Deterministic quantities only —
@@ -65,9 +60,7 @@ def test_warm_start_pipeline(benchmark, tmp_path):
         assert result.digests_match(size), \
             f"cold and warm merge reports diverged at {size} functions"
         cold = result.row(size, "cold")
-        assert cold is not None and cold.signatures_computed > 0, \
-            f"cold run at {size} functions computed no signatures — bad setup"
-        signature_reduction = result.computation_reduction(size, "signatures")
-        fingerprint_reduction = result.computation_reduction(size, "fingerprints")
-        assert signature_reduction >= 0.8, (size, signature_reduction)
+        assert cold is not None and cold.fingerprints_computed > 0, \
+            f"cold run at {size} functions computed no fingerprints"
+        fingerprint_reduction = result.fingerprint_reduction(size)
         assert fingerprint_reduction >= 0.8, (size, fingerprint_reduction)

@@ -7,7 +7,7 @@ series back and failing CI when a tracked metric regresses.  For every
 ``(bench, context)`` series it compares the newest row against the trailing
 median of the prior rows:
 
-* **Context** fields (module size, strategy, session count, ``host_cpus``)
+* **Context** fields (module size, session count, ``host_cpus``)
   key the series — rows measured under different configurations, or on CI
   hosts with different CPU counts, never compare against each other.
 * **Deterministic** metrics (recall, construction ratios, hit rates,
@@ -52,7 +52,7 @@ class MetricPolicy:
     #: Allowed relative drift, as a fraction of the baseline's magnitude.
     tolerance: float
     #: Absolute slack added on top — keeps near-zero baselines (e.g. a warm
-    #: run that recomputes 0 signatures) from turning any noise into a fail.
+    #: run that recomputes 0 fingerprints) from turning any noise into a fail.
     abs_slack: float = 0.0
     #: Advisory metrics report but never fail (wall-clock speedups).
     advisory: bool = False
@@ -71,14 +71,6 @@ class BenchPolicy:
 #: ``host_cpus`` is context for the load-generator lane because a 2-CPU CI
 #: runner can never reproduce a 16-CPU workstation's throughput.
 POLICIES: Dict[str, BenchPolicy] = {
-    "candidate_search": BenchPolicy(
-        context=("num_functions", "strategy"),
-        metrics={
-            "recall": MetricPolicy("higher", 0.05),
-            "quality": MetricPolicy("higher", 0.05),
-            "scan_fraction": MetricPolicy("lower", 0.10, abs_slack=0.01),
-            "speedup": MetricPolicy("higher", 0.25, advisory=True),
-        }),
     "analysis_cache": BenchPolicy(
         context=("num_functions",),
         metrics={
@@ -90,8 +82,6 @@ POLICIES: Dict[str, BenchPolicy] = {
     "persist_warm_start": BenchPolicy(
         context=("num_functions",),
         metrics={
-            "signature_reduction": MetricPolicy("higher", 0.05,
-                                                abs_slack=0.01),
             "fingerprint_reduction": MetricPolicy("higher", 0.05,
                                                   abs_slack=0.01),
             "warm_hit_rate": MetricPolicy("higher", 0.05, abs_slack=0.01),

@@ -3,8 +3,8 @@
 
 Production use of function merging is repetitive: the same large module comes
 back with a handful of changed functions, and everything the optimiser
-derived last time — fingerprints, MinHash signatures, cost-model sizes — is
-still valid for the unchanged majority.  `repro.persist` keys those artifacts
+derived last time — fingerprints, cost-model sizes — is still valid for the
+unchanged majority.  `repro.persist` keys those artifacts
 by content digest in an on-disk store, so only changed content is recomputed.
 
 This example runs the same pipeline repeatedly against one `--cache-dir`:
@@ -15,7 +15,7 @@ This example runs the same pipeline repeatedly against one `--cache-dir`:
 3. reports are verified bit-identical across runs.
 
 Run with:  PYTHONPATH=src python examples/warm_start_pipeline.py \
-               [--cache-dir DIR] [--functions N] [--runs K] [--strategy S]
+               [--cache-dir DIR] [--functions N] [--runs K]
 
 Without --cache-dir a temporary directory is used (and thrown away, so every
 invocation starts cold — point it at a real directory to warm across
@@ -40,8 +40,6 @@ def main() -> None:
                         help="module size (default 256)")
     parser.add_argument("--runs", type=int, default=3,
                         help="pipeline runs against the shared store (default 3)")
-    parser.add_argument("--strategy", default="minhash_lsh",
-                        help="candidate-search strategy (default minhash_lsh)")
     args = parser.parse_args()
 
     temp_dir = None
@@ -59,7 +57,6 @@ def main() -> None:
                 started = time.perf_counter()
                 result = run_pipeline(module, "warm-start", technique="salssa",
                                       threshold=1, target="arm_thumb",
-                                      search_strategy=args.strategy,
                                       cache_dir=cache_dir)
                 elapsed = time.perf_counter() - started
             digests.append(merge_report_digest(result.report))
@@ -67,7 +64,6 @@ def main() -> None:
             print(f"--- run {run_index + 1} ({label}) ---")
             print(f"wall {elapsed:.2f}s, "
                   f"{result.report.profitable_merges} merges, "
-                  f"{tracker.delta('MinHashSignature')} signatures and "
                   f"{tracker.delta('Fingerprint')} fingerprints computed")
             print(format_store_stats(result.persist_stats))
             print()

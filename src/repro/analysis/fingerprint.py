@@ -1,4 +1,4 @@
-"""Function fingerprints and candidate ranking.
+"""Function fingerprints and the ranked-candidate record.
 
 Both FMSA and SalSSA decide *which* pairs of functions to attempt to merge
 with a fingerprint-based ranking (paper §5.1): each function is summarised by
@@ -13,9 +13,8 @@ orders the search.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -85,31 +84,6 @@ class Fingerprint:
         return 1.0 - self.distance(other) / total
 
 
-def opcode_sequence(function: Function) -> Tuple[str, ...]:
-    """The function's bucketised opcode stream in block order.
-
-    This is the raw material for order-sensitive signatures (e.g. the MinHash
-    shingles used by ``repro.search``): two functions with permuted but
-    otherwise identical instruction mixes share a fingerprint yet have
-    different opcode sequences.
-    """
-    return tuple(_BUCKET_BY_OPCODE.get(inst.opcode, "other")
-                 for inst in function.instructions())
-
-
-def opcode_shingles(function: Function, k: int = 3) -> frozenset:
-    """The set of ``k``-grams of the bucketised opcode sequence.
-
-    Functions shorter than ``k`` contribute their whole sequence as a single
-    shingle so every candidate function has a non-empty shingle set.
-    """
-    sequence = opcode_sequence(function)
-    k = max(1, k)
-    if len(sequence) <= k:
-        return frozenset((sequence,)) if sequence else frozenset()
-    return frozenset(sequence[i:i + k] for i in range(len(sequence) - k + 1))
-
-
 @dataclass
 class RankedCandidate:
     """One candidate merge partner for a function, with its ranking score."""
@@ -118,33 +92,3 @@ class RankedCandidate:
     distance: int
     similarity: float
 
-
-def rank_candidates(fingerprint: Fingerprint,
-                    candidates: "Iterable[Tuple[Function, Fingerprint]]",
-                    threshold: int,
-                    similarity_floor: float = 0.0) -> List[RankedCandidate]:
-    """Top-``threshold`` of ``candidates`` by distance to ``fingerprint``.
-
-    Candidates are ordered by the ``(distance, -size, name)`` key every
-    ``repro.search`` index ranks by; ``nsmallest`` over that key gives the
-    full sort's order without sorting the whole pool.  The approximate
-    indexes rank their candidate pools with it.
-    """
-    counts = fingerprint.counts
-    scored = []
-    for other, other_fingerprint in candidates:
-        # Inlined Fingerprint.distance/.similarity: the method-call overhead
-        # dominates this hot loop under CPython.  Keep in sync with them.
-        distance = sum(abs(a - b)
-                       for a, b in zip(counts, other_fingerprint.counts))
-        if similarity_floor > 0.0:
-            total = fingerprint.size + other_fingerprint.size
-            similarity = 1.0 if total == 0 else 1.0 - distance / total
-            if similarity < similarity_floor:
-                continue
-        scored.append((distance, -other_fingerprint.size, other.name,
-                       other, other_fingerprint))
-    top = heapq.nsmallest(threshold, scored, key=lambda item: item[:3])
-    return [RankedCandidate(other, distance,
-                            fingerprint.similarity(other_fingerprint))
-            for distance, _, _, other, other_fingerprint in top]

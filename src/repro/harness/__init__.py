@@ -25,12 +25,9 @@ from .experiments import (
     DEFAULT_SPEC_SUBSET,
     AnalysisCacheResult,
     AnalysisCacheRow,
-    SearchComparisonResult,
-    SearchComparisonRow,
     WarmStartResult,
     WarmStartRow,
     analysis_cache_comparison,
-    candidate_search_comparison,
     merge_report_digest,
     search_workload,
     warm_start_comparison,

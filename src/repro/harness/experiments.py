@@ -16,7 +16,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.counters import track_constructions
 from ..analysis.manager import AnalysisStats, ModuleAnalysisManager
@@ -26,8 +26,7 @@ from ..ir.module import Module
 from ..ir.verifier import verify_module
 from ..merge.pass_manager import FunctionMergingPass, MergeReport
 from ..persist import StoreStats
-from ..search import SearchStrategy, make_index, topk_recall
-from ..search.stats import quality_recall
+from ..search import make_index
 from ..transforms.mem2reg import promote_module
 from ..transforms.reg2mem import demote_function, demote_module
 from ..transforms.simplify import simplify_module
@@ -138,7 +137,6 @@ class ReductionResult:
 def _reduction_experiment(suite_specs, suite_name: str, target: str,
                           techniques: Sequence[str], thresholds: Sequence[int],
                           benchmarks: Optional[Iterable[str]],
-                          search_strategy: Union[str, SearchStrategy] = "exhaustive",
                           cache_dir: Optional[str] = None
                           ) -> ReductionResult:
     result = ReductionResult(suite_name, target)
@@ -147,7 +145,6 @@ def _reduction_experiment(suite_specs, suite_name: str, target: str,
             for threshold in thresholds:
                 module = spec.build()
                 run = run_pipeline(module, spec.name, technique, threshold, target,
-                                   search_strategy=search_strategy,
                                    cache_dir=cache_dir)
                 report = run.report
                 result.rows.append(ReductionRow(
@@ -161,26 +158,22 @@ def figure17_spec_reduction(suite: str = "spec2006",
                             techniques: Sequence[str] = ("fmsa", "salssa"),
                             thresholds: Sequence[int] = (1,),
                             benchmarks: Optional[Iterable[str]] = DEFAULT_SPEC_SUBSET,
-                            search_strategy: Union[str, SearchStrategy] = "exhaustive",
                             cache_dir: Optional[str] = None
                             ) -> ReductionResult:
     """Linked-object size reduction over LTO on the SPEC-like suites (Fig. 17)."""
     return _reduction_experiment(get_suite(suite), suite, "x86_64",
                                  techniques, thresholds, benchmarks,
-                                 search_strategy=search_strategy,
                                  cache_dir=cache_dir)
 
 
 def figure18_mibench_reduction(techniques: Sequence[str] = ("fmsa", "salssa"),
                                thresholds: Sequence[int] = (1,),
                                benchmarks: Optional[Iterable[str]] = DEFAULT_MIBENCH_SUBSET,
-                               search_strategy: Union[str, SearchStrategy] = "exhaustive",
                                cache_dir: Optional[str] = None
                                ) -> ReductionResult:
     """Linked-object size reduction on the MiBench-like suite, ARM-Thumb model (Fig. 18)."""
     return _reduction_experiment(MIBENCH, "mibench", "arm_thumb",
                                  techniques, thresholds, benchmarks,
-                                 search_strategy=search_strategy,
                                  cache_dir=cache_dir)
 
 
@@ -558,12 +551,12 @@ def figure25_runtime_overhead(suite: str = "spec2006",
 
 
 # ---------------------------------------------------------------------------
-# Candidate-search scaling: exhaustive vs sub-linear indexes (repro.search)
+# A generated workload of any size (analysis-cache and warm-start experiments)
 # ---------------------------------------------------------------------------
 
 def search_workload(num_functions: int, seed: int = 7,
                     batch_size: int = 1024) -> Module:
-    """A mibench-like module for candidate-search experiments.
+    """A mibench-like module of ``num_functions`` functions.
 
     Mirrors the population structure of the larger MiBench programs — mostly
     clone families of 2-4 similar functions with heterogeneous size targets,
@@ -590,48 +583,6 @@ def search_workload(num_functions: int, seed: int = 7,
     module = generate_program_in_batches(spec, batch_size=batch_size)
     simplify_module(module)
     return module
-
-
-@dataclass
-class SearchComparisonRow:
-    """One (module size, strategy) measurement of the candidate search."""
-
-    num_functions: int
-    strategy: str
-    build_seconds: float
-    query_seconds: float
-    queries: int
-    recall: float
-    quality: float
-    scan_fraction: float
-
-    @property
-    def avg_query_micros(self) -> float:
-        return 1e6 * self.query_seconds / self.queries if self.queries else 0.0
-
-
-@dataclass
-class SearchComparisonResult:
-    top_k: int
-    rows: List[SearchComparisonRow] = field(default_factory=list)
-
-    def for_strategy(self, strategy: str) -> List[SearchComparisonRow]:
-        return [row for row in self.rows if row.strategy == strategy]
-
-    def speedup_over_exhaustive(self, strategy: str,
-                                num_functions: int) -> float:
-        """Query-time speedup of ``strategy`` at one module size.
-
-        Returns 0.0 when there is no exhaustive reference row for that size
-        (e.g. the comparison ran without the exhaustive strategy).
-        """
-        by_size = {row.num_functions: row for row in self.for_strategy("exhaustive")}
-        reference = by_size.get(num_functions)
-        for row in self.for_strategy(strategy):
-            if row.num_functions == num_functions and reference is not None \
-                    and row.query_seconds > 0:
-                return reference.query_seconds / row.query_seconds
-        return 0.0
 
 
 def merge_report_digest(report: MergeReport) -> Tuple:
@@ -722,21 +673,26 @@ def _analysis_cache_workload(module: Module,
     """The multi-consumer workload whose analysis traffic the bench measures.
 
     Mirrors one full experiment iteration: input-IR verification, the
-    Figure-5-style register demotion/promotion round trip, re-verification, a
-    candidate-search strategy comparison over the same module (two extra
-    index builds — what ``candidate_search_comparison`` does), the merging
-    pass itself and a post-merge verification.  Uncached, every stage
-    recomputes its dominator trees and fingerprints from scratch; with a
-    shared manager the tree built for the input verification survives the
-    whole demote/promote round trip (both declare the CFG analyses preserved)
-    and the SSA-repair tree is shared inside every merge attempt.
+    Figure-5-style register demotion/promotion round trip, re-verification,
+    two candidate-index builds over the same module, the merging pass itself
+    and a post-merge verification.  Uncached, every stage recomputes its
+    dominator trees and fingerprints from scratch; with a shared manager the
+    tree built for the input verification survives the whole demote/promote
+    round trip (both declare the CFG analyses preserved), the fingerprints
+    the index builds and the pass share are computed once, and the
+    SSA-repair tree is shared inside every merge attempt.
+
+    The two index builds stand in for an experiment that queries the module
+    before merging it.  They are why the cached run constructs at least 2x
+    fewer fingerprints: with one build the ratio at 256 functions is 1.77,
+    with two it is 2.53.
     """
     verify_module(module, raise_on_error=False, manager=manager)
     demote_module(module, manager)
     promote_module(module, manager)
     verify_module(module, raise_on_error=False, manager=manager)
-    for strategy in ("exhaustive", "minhash_lsh"):
-        make_index(module, strategy, min_size=3, analysis_manager=manager)
+    for _ in range(2):
+        make_index(module, min_size=3, analysis_manager=manager)
     options = make_pass_options(technique, 1, get_target(target))
     report = FunctionMergingPass(options).run(module, analysis_manager=manager)
     verify_module(module, raise_on_error=False, manager=manager)
@@ -785,7 +741,6 @@ class WarmStartRow:
     num_functions: int
     mode: str  # "cold" (store empty) or "warm" (store populated by the cold run)
     wall_seconds: float
-    signatures_computed: int
     fingerprints_computed: int
     persist_stats: Optional[StoreStats]
     report_digest: Tuple
@@ -809,23 +764,15 @@ class WarmStartResult:
         return cold is not None and warm is not None \
             and cold.report_digest == warm.report_digest
 
-    def computation_reduction(self, num_functions: int, counter: str) -> float:
-        """Fraction of the cold run's computations the warm run avoided.
-
-        ``counter`` is ``"signatures"`` or ``"fingerprints"``.  1.0 means the
-        warm run computed nothing; 0.0 means it saved nothing (or there was
-        nothing to save).
-        """
+    def fingerprint_reduction(self, num_functions: int) -> float:
+        """Fraction of the cold run's fingerprint computations the warm run
+        avoided: 1.0 means the warm run computed none; 0.0 means it saved
+        nothing (or there was nothing to save)."""
         cold = self.row(num_functions, "cold")
         warm = self.row(num_functions, "warm")
-        if cold is None or warm is None:
+        if cold is None or warm is None or cold.fingerprints_computed <= 0:
             return 0.0
-        attr = f"{counter}_computed"
-        cold_count = getattr(cold, attr)
-        warm_count = getattr(warm, attr)
-        if cold_count <= 0:
-            return 0.0
-        return 1.0 - warm_count / cold_count
+        return 1.0 - warm.fingerprints_computed / cold.fingerprints_computed
 
     def speedup(self, num_functions: int) -> float:
         cold = self.row(num_functions, "cold")
@@ -839,13 +786,12 @@ def warm_start_comparison(sizes: Sequence[int] = (128,),
                           cache_dir: Optional[str] = None,
                           technique: str = "salssa",
                           target: str = "arm_thumb",
-                          search_strategy: Union[str, SearchStrategy] = "minhash_lsh",
                           seed: int = 7) -> WarmStartResult:
     """Run the pipeline twice per size against one shared artifact store.
 
     The first (cold) run populates ``cache_dir``; the second (warm) run must
     produce a bit-identical merge report while computing a small fraction of
-    the MinHash signatures and fingerprints — the acceptance bar asserted by
+    the fingerprints — the acceptance bar asserted by
     ``benchmarks/bench_persist.py``.  Each size gets its own store subtree so
     cold runs are genuinely cold (same-seed workloads of different sizes
     share their leading families, which would otherwise pre-warm them).
@@ -860,63 +806,14 @@ def warm_start_comparison(sizes: Sequence[int] = (128,),
             with track_constructions() as tracker:
                 started = time.perf_counter()
                 run = run_pipeline(module, f"warm{num_functions}", technique, 1,
-                                   target, search_strategy=search_strategy,
-                                   cache_dir=size_dir)
+                                   target, cache_dir=size_dir)
                 wall_seconds = time.perf_counter() - started
             result.rows.append(WarmStartRow(
                 num_functions=num_functions,
                 mode=mode,
                 wall_seconds=wall_seconds,
-                signatures_computed=tracker.delta("MinHashSignature"),
                 fingerprints_computed=tracker.delta("Fingerprint"),
                 persist_stats=run.persist_stats,
                 report_digest=merge_report_digest(run.report)))
     return result
 
-
-def candidate_search_comparison(
-        sizes: Sequence[int] = (256, 512, 1024),
-        strategies: Sequence[Union[str, SearchStrategy]] = (
-            "exhaustive", "size_buckets", "minhash_lsh"),
-        top_k: int = 2,
-        max_queries: int = 128,
-        seed: int = 7) -> SearchComparisonResult:
-    """Compare candidate-search strategies as the module grows.
-
-    For each module size, every strategy answers the same (deterministically
-    sampled) top-k queries; recall and quality are measured against the
-    exhaustive index's answers, and scan fraction comes from the index's own
-    :class:`~repro.search.stats.SearchStats`.
-    """
-    result = SearchComparisonResult(top_k=top_k)
-    for num_functions in sizes:
-        module = search_workload(num_functions, seed=seed)
-        reference = make_index(module, "exhaustive", min_size=3)
-        queries = reference.functions_by_size()
-        if len(queries) > max_queries:
-            stride = len(queries) / max_queries
-            queries = [queries[int(i * stride)] for i in range(max_queries)]
-        expected = {f: reference.candidates_for(f, top_k) for f in queries}
-        for strategy in strategies:
-            started = time.perf_counter()
-            index = make_index(module, strategy, min_size=3)
-            build_seconds = time.perf_counter() - started
-            recall_total = quality_total = 0.0
-            started = time.perf_counter()
-            answers = {f: index.candidates_for(f, top_k) for f in queries}
-            query_seconds = time.perf_counter() - started
-            for function in queries:
-                recall_total += topk_recall(
-                    [c.function for c in expected[function]],
-                    [c.function for c in answers[function]])
-                quality_total += quality_recall(expected[function], answers[function])
-            result.rows.append(SearchComparisonRow(
-                num_functions=num_functions,
-                strategy=index.strategy.name,
-                build_seconds=build_seconds,
-                query_seconds=query_seconds,
-                queries=len(queries),
-                recall=recall_total / len(queries) if queries else 1.0,
-                quality=quality_total / len(queries) if queries else 1.0,
-                scan_fraction=index.stats.scan_fraction))
-    return result

@@ -84,10 +84,9 @@ def _merge_distinct(combined, stats):
 
     Several results routinely alias one live stats object — pipeline runs
     sharing an :class:`~repro.persist.ArtifactStore` share its
-    :class:`~repro.persist.StoreStats`, and a ``PipelineResult`` and its
-    ``report`` expose the same search/persist objects — so entries are
-    deduplicated by identity before merging; folding the same object twice
-    would double every total.  ``None`` entries are skipped.
+    :class:`~repro.persist.StoreStats` — so entries are deduplicated by
+    identity before merging; folding the same object twice would double
+    every total.  ``None`` entries are skipped.
     """
     seen = set()
     for entry in stats:

@@ -21,7 +21,6 @@ from ..obs import EventLog, MetricsRegistry, as_registry, attach_events, \
     attach_run_ledger, cached_bucket_overrides, maybe_span, \
     observe_incremental_stats, observe_pipeline_result, record_pipeline_run
 from ..persist import ArtifactStore, PersistentAnalysisCache, StoreStats
-from ..search import SearchStrategy
 from ..ir.module import Module
 from ..ir.printer import print_module
 from ..ir.verifier import verify_module
@@ -98,18 +97,13 @@ def baseline_compile(module: Module,
 
 
 def make_pass_options(technique: str, threshold: int, size_model: SizeModel,
-                      phi_coalescing: bool = True,
-                      search_strategy: Union[str, SearchStrategy] = "exhaustive",
-                      cache_dir: Optional[str] = None
-                      ) -> MergePassOptions:
+                      phi_coalescing: bool = True) -> MergePassOptions:
     """Build pass options for one experimental configuration."""
     return MergePassOptions(
         technique=technique,
         exploration_threshold=threshold,
-        search_strategy=search_strategy,
         size_model=size_model,
         salssa=SalSSAOptions(phi_coalescing=phi_coalescing),
-        cache_dir=cache_dir,
     )
 
 
@@ -161,7 +155,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                  threshold: int = 1, target: str = "x86_64",
                  phi_coalescing: bool = True,
                  measure_memory: bool = False,
-                 search_strategy: Union[str, SearchStrategy] = "exhaustive",
                  analysis_manager: Optional[ModuleAnalysisManager] = None,
                  analysis_caching: bool = True,
                  cache_dir: Optional[str] = None,
@@ -173,8 +166,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     """Run the full pipeline on ``module`` (which is consumed/mutated).
 
     ``technique`` may be ``"salssa"``, ``"fmsa"`` or ``"none"`` (baseline only).
-    ``search_strategy`` selects the candidate index the merge pass queries;
-    the default keeps the seed's exhaustive ranking.
 
     The pipeline owns a module-level :class:`ModuleAnalysisManager` shared by
     the clean-up transforms, the verifier, the merge pass, its cost model and
@@ -185,9 +176,8 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
 
     ``cache_dir`` (or a live ``artifact_store``) turns on cross-run
     persistence (see :mod:`repro.persist`): the pipeline-owned manager then
-    loads fingerprints and function sizes by content digest, the candidate
-    index warm-starts its MinHash signatures, and the store's counters are
-    surfaced on :attr:`PipelineResult.persist_stats`.  Reports are
+    loads fingerprints and function sizes by content digest, and the store's
+    counters are surfaced on :attr:`PipelineResult.persist_stats`.  Reports are
     bit-identical with a cold, warm or absent store.  (An explicitly passed
     ``analysis_manager`` is used as-is — it keeps whatever persistent tier it
     was built with.)
@@ -241,13 +231,7 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
         baseline_size = size_model.module_size(module)
         baseline_instructions = module.num_instructions()
 
-        run_config = {
-            "target": target,
-            "phi_coalescing": phi_coalescing,
-            "search_strategy": search_strategy
-            if isinstance(search_strategy, str)
-            else type(search_strategy).__name__,
-        }
+        run_config = {"target": target, "phi_coalescing": phi_coalescing}
 
         if technique == "none":
             result = PipelineResult(
@@ -262,8 +246,7 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
             return result
 
         options = make_pass_options(technique, threshold, size_model,
-                                    phi_coalescing,
-                                    search_strategy=search_strategy)
+                                    phi_coalescing)
         merging_pass = FunctionMergingPass(options)
 
         peak_bytes = 0
@@ -271,11 +254,9 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
         with maybe_span(registry, "merge"):
             if measure_memory:
                 report, peak_bytes = measure_peak_memory(
-                    merging_pass.run, module, manager, store,
-                    metrics=registry)
+                    merging_pass.run, module, manager, metrics=registry)
             else:
                 report = merging_pass.run(module, analysis_manager=manager,
-                                          artifact_store=store,
                                           metrics=registry)
         merge_seconds = time.perf_counter() - started
 
@@ -315,6 +296,9 @@ class IncrementalRun:
     result: PipelineResult
     #: The (mutated) state to thread into the next delta.
     state: PipelineState
+    #: The working module the pass merged: this delta's output, held by
+    #: ``state.analysis_manager`` until the next run replaces it.
+    module: Module
     #: The delta this run applied (detected or caller-supplied).
     delta: ModuleDelta
     #: What the delta cost and what the previous state paid for.
@@ -334,8 +318,6 @@ def run_pipeline_incremental(module: Module,
                              threshold: int = 1,
                              target: str = "x86_64",
                              phi_coalescing: bool = True,
-                             search_strategy: Union[str, SearchStrategy]
-                             = "exhaustive",
                              cache_dir: Optional[str] = None,
                              artifact_store: Optional[ArtifactStore] = None,
                              metrics: Union[None, bool, str, MetricsRegistry]
@@ -349,8 +331,8 @@ def run_pipeline_incremental(module: Module,
     :mod:`repro.incremental` and ``docs/incremental.md``): the final report
     is **bit-identical** to a cold ``run_pipeline`` over the same module,
     but only pairs with at least one *dirty* endpoint are re-scored, only
-    merges the attempt cache cannot splice are re-generated, and index
-    artifacts are reused for every clean function — near-O(|delta|) work
+    merges the attempt cache cannot splice are re-generated, and
+    fingerprints are reused for every clean function — near-O(|delta|) work
     per call for live modules.
 
     ``state`` is ``None`` on the first call: with a ``cache_dir`` (or
@@ -383,8 +365,7 @@ def run_pipeline_incremental(module: Module,
             store = ArtifactStore(cache_dir)
         config = IncrementalConfig(
             benchmark=benchmark, technique=technique, threshold=threshold,
-            target=target, phi_coalescing=phi_coalescing,
-            search_strategy=search_strategy)
+            target=target, phi_coalescing=phi_coalescing)
         with maybe_span(registry, "incremental.delta"):
             loaded_from_store = False
             if state is None and store is not None:
@@ -397,12 +378,12 @@ def run_pipeline_incremental(module: Module,
                     else ("live_state" if state is not None
                           else "cold_bootstrap"))
             if state is None:
-                state = PipelineState(config, artifact_store=store)
+                state = PipelineState(config)
             elif state.config.key() != config.key():
                 raise ValueError(
                     "run_pipeline_incremental called with a state built for "
                     "a different configuration; start a new state (or pass "
-                    "matching technique/threshold/target/strategy arguments)")
+                    "matching technique/threshold/target arguments)")
             if registry is not None and store is not None:
                 store.attach_metrics(registry)
             with maybe_span(registry, "incremental.apply_delta"):
@@ -419,15 +400,14 @@ def run_pipeline_incremental(module: Module,
             baseline_size = size_model.module_size(working)
             baseline_instructions = working.num_instructions()
             options = make_pass_options(technique, threshold, size_model,
-                                        phi_coalescing,
-                                        search_strategy=search_strategy)
+                                        phi_coalescing)
             merging_pass = FunctionMergingPass(options)
             state.cache.begin_run()
             evicted_before = state.cache.evicted
             started = time.perf_counter()
             with maybe_span(registry, "incremental.merge"):
                 report = merging_pass.run(
-                    working, analysis_manager=manager, artifact_store=store,
+                    working, analysis_manager=manager,
                     metrics=registry, precomputed=precomputed,
                     attempt_cache=state.cache)
             merge_seconds = time.perf_counter() - started
@@ -468,15 +448,9 @@ def run_pipeline_incremental(module: Module,
             observe_incremental_stats(registry, stats)
             record_pipeline_run(
                 registry, result, mode="incremental",
-                config={
-                    "target": target,
-                    "phi_coalescing": phi_coalescing,
-                    "search_strategy": search_strategy
-                    if isinstance(search_strategy, str)
-                    else type(search_strategy).__name__,
-                },
+                config={"target": target, "phi_coalescing": phi_coalescing},
                 incremental=vars(stats))
     finally:
         _close_owned(registry, metrics)
-    return IncrementalRun(result=result, state=state, delta=delta,
-                          stats=stats)
+    return IncrementalRun(result=result, state=state, module=working,
+                          delta=delta, stats=stats)

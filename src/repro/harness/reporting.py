@@ -14,7 +14,6 @@ from ..persist import StoreStats
 from ..search.stats import SearchStats
 from .experiments import (
     AnalysisCacheResult,
-    SearchComparisonResult,
     WarmStartResult,
     Figure5Result,
     Figure19Result,
@@ -169,39 +168,25 @@ def format_warm_start(result: WarmStartResult) -> str:
         stats = row.persist_stats
         rows.append((row.num_functions, row.mode,
                      f"{row.wall_seconds * 1e3:.0f} ms",
-                     row.signatures_computed, row.fingerprints_computed,
+                     row.fingerprints_computed,
                      f"{100.0 * stats.hit_rate:.1f}%" if stats else "n/a"))
     for size in sorted({row.num_functions for row in result.rows}):
         rows.append((size, "ratio",
                      f"{result.speedup(size):.2f}x",
-                     f"-{100.0 * result.computation_reduction(size, 'signatures'):.1f}%",
-                     f"-{100.0 * result.computation_reduction(size, 'fingerprints'):.1f}%",
+                     f"-{100.0 * result.fingerprint_reduction(size):.1f}%",
                      "match" if result.digests_match(size) else "MISMATCH"))
-    return format_table(("#fns", "mode", "wall", "signatures", "fingerprints",
+    return format_table(("#fns", "mode", "wall", "fingerprints",
                          "store hit rate / digest"), rows)
 
 
 def format_search_stats(stats: SearchStats) -> str:
     """One-line summary of a merge run's candidate-search counters."""
-    return (f"search[{stats.strategy}]: {stats.queries} queries, "
+    return (f"search: {stats.queries} queries, "
             f"{stats.candidates_scanned}/{stats.population_available} candidates "
             f"scanned ({100.0 * stats.scan_fraction:.1f}%), "
             f"{stats.candidates_returned} returned, "
             f"{stats.inserts} inserts / {stats.removals} removals / "
             f"{stats.updates} updates")
-
-
-def format_search_comparison(result: SearchComparisonResult) -> str:
-    rows = []
-    for row in result.rows:
-        speedup_ = result.speedup_over_exhaustive(row.strategy, row.num_functions)
-        rows.append((row.num_functions, row.strategy,
-                     f"{row.build_seconds * 1e3:.1f} ms",
-                     f"{row.avg_query_micros:.0f} us", f"{row.recall:.3f}",
-                     f"{row.quality:.3f}", f"{100.0 * row.scan_fraction:.1f}%",
-                     f"{speedup_:.1f}x" if speedup_ > 0 else "n/a"))
-    return format_table(("#fns", "strategy", "build", "query", "recall",
-                         "quality", "scanned", "speedup"), rows)
 
 
 def format_figure25(result: Figure25Result) -> str:

@@ -23,9 +23,8 @@ deterministically and promotes the entry.
 
 ``index_artifacts`` is a side cache for functions *created* during a run
 (committed merged functions re-entering the candidate index): their
-fingerprints / MinHash signatures / probe gaps keyed by content digest, so
-replaying a delta does not recompute index artifacts for hundreds of
-unchanged merged functions.
+fingerprints keyed by content digest, so replaying a delta does not
+recompute fingerprints for hundreds of unchanged merged functions.
 """
 
 from __future__ import annotations
@@ -142,9 +141,9 @@ class AttemptCache:
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         self.entries: Dict[PairKey, AttemptOutcome] = {}
-        #: content digest -> index artifacts (fingerprint / signature /
-        #: probe_gaps) of functions created mid-run (committed merges).
-        self.index_artifacts: Dict[str, Dict[str, object]] = {}
+        #: content digest -> fingerprint of functions created mid-run
+        #: (committed merges).
+        self.index_artifacts: Dict[str, Fingerprint] = {}
         #: LRU cap on memoized pair outcomes (None = unbounded, the batch
         #: default).  A long-lived service session sees an unbounded delta
         #: stream — without a bound every pair ever considered stays
@@ -278,16 +277,17 @@ class AttemptCache:
 
     # ---------------------------------------------------------- index hooks
     def prime_index_artifacts(self, index, function) -> None:
-        """Inject cached artifacts for ``function`` before ``index.update``."""
+        """Inject the cached fingerprint of ``function`` before
+        ``index.update``."""
         cached = self.index_artifacts.get(function.content_digest())
         if cached is not None:
-            index.precomputed[function] = dict(cached)
+            index.precomputed[function] = cached
 
     def capture_index_artifacts(self, index, function) -> None:
-        """Export ``function``'s artifacts after ``index.update`` indexed it."""
-        if function in index.fingerprints:
-            self.index_artifacts[function.content_digest()] = \
-                dict(index.export_artifacts(function))
+        """Keep the fingerprint ``index.update`` indexed ``function`` by."""
+        fingerprint = index.fingerprints.get(function)
+        if fingerprint is not None:
+            self.index_artifacts[function.content_digest()] = fingerprint
 
     # --------------------------------------------------------- serialization
     def attempts_payload(self) -> List[List[Any]]:
@@ -295,34 +295,14 @@ class AttemptCache:
                 for (first, second), entry in self.entries.items()]
 
     def artifacts_payload(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {}
-        for digest, artifacts in self.index_artifacts.items():
-            fingerprint = artifacts.get("fingerprint")
-            if fingerprint is None:
-                continue
-            record: Dict[str, Any] = {
-                "fingerprint": [list(fingerprint.counts), fingerprint.size]}
-            if artifacts.get("signature") is not None:
-                record["signature"] = list(artifacts["signature"])
-            if artifacts.get("probe_gaps") is not None:
-                record["probe_gaps"] = list(artifacts["probe_gaps"])
-            payload[digest] = record
-        return payload
+        return {digest: [list(fingerprint.counts), fingerprint.size]
+                for digest, fingerprint in self.index_artifacts.items()}
 
     def load_payloads(self, attempts: List[List[Any]],
                       artifacts: Dict[str, Any]) -> None:
         for first, second, data in attempts:
             self.entries[(str(first), str(second))] = \
                 AttemptOutcome.from_payload(data)
-        for digest, record in artifacts.items():
-            counts, size = record["fingerprint"]
-            restored: Dict[str, object] = {
-                "fingerprint": Fingerprint(tuple(int(c) for c in counts),
-                                           int(size))}
-            if record.get("signature") is not None:
-                restored["signature"] = tuple(
-                    int(v) for v in record["signature"])
-            if record.get("probe_gaps") is not None:
-                restored["probe_gaps"] = tuple(
-                    int(v) for v in record["probe_gaps"])
-            self.index_artifacts[str(digest)] = restored
+        for digest, (counts, size) in artifacts.items():
+            self.index_artifacts[str(digest)] = Fingerprint(
+                tuple(int(c) for c in counts), int(size))

@@ -8,10 +8,9 @@ reuse between runs:
   map, so normalizing each function once when it arrives is bit-identical to
   the cold pipeline's whole-module ``baseline_compile`` pass.
 * a **candidate index** over the pristine functions, maintained with
-  ``CandidateIndex.add/update/remove`` for delta members only; its exported
-  artifacts (fingerprints, MinHash signatures, probe gaps) warm-start each
-  run's index so index construction is O(population) cheap dictionary work,
-  never O(population) hashing.
+  ``CandidateIndex.add/update/remove`` for delta members only; its
+  fingerprints warm-start each run's index, so index construction is
+  O(population) cheap dictionary work, never a walk over every body.
 * the **attempt cache** (:class:`~repro.incremental.cache.AttemptCache`) —
   the memoized pair scores and merged bodies that make replaying a run
   near-O(|delta|).
@@ -28,14 +27,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..analysis.fingerprint import Fingerprint
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.parser import parse_named_function
 from ..ir.printer import print_function
 from ..persist.store import ArtifactStore
-from ..search import SearchStrategy, make_index, resolve_strategy
+from ..search import make_index
 from ..transforms.clone import clone_function
 from ..transforms.mem2reg import promote_allocas
 from ..transforms.simplify import simplify_function
@@ -48,7 +48,8 @@ STATE_KIND = "incremental.state"
 
 #: Version tag of the snapshot payload; bump on incompatible change (old
 #: snapshots then read as absent — a cold bootstrap, never wrong data).
-STATE_SCHEMA = 1
+#: Version 2 records one fingerprint per artifact digest.
+STATE_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,12 @@ class IncrementalConfig:
     threshold: int = 1
     target: str = "x86_64"
     phi_coalescing: bool = True
-    search_strategy: Union[str, SearchStrategy] = "exhaustive"
     min_function_size: int = 3
-
-    def resolved_strategy(self) -> SearchStrategy:
-        return resolve_strategy(self.search_strategy)
 
     def key(self) -> str:
         """A stable digest of the outcome-relevant configuration."""
-        strategy = self.resolved_strategy()
         text = repr((self.technique, self.threshold, self.target,
-                     self.phi_coalescing, self.min_function_size, strategy))
+                     self.phi_coalescing, self.min_function_size))
         return hashlib.blake2b(text.encode("utf-8"),
                                digest_size=12).hexdigest()
 
@@ -86,10 +82,8 @@ class IncrementalConfig:
 class PipelineState:
     """Everything :func:`repro.harness.run_pipeline_incremental` reuses."""
 
-    def __init__(self, config: IncrementalConfig,
-                 artifact_store: Optional[ArtifactStore] = None) -> None:
+    def __init__(self, config: IncrementalConfig) -> None:
         self.config = config
-        self.artifact_store = artifact_store
         #: name -> normalized pristine clone (the replayed merge input).
         self.functions: Dict[str, Function] = {}
         #: name -> content digest of the *source* (un-normalized) function
@@ -101,9 +95,7 @@ class PipelineState:
         self.report = None
         self.analysis_manager = None
         self.index = make_index(_EmptyPopulation(),
-                                config.resolved_strategy(),
-                                min_size=config.min_function_size,
-                                artifact_store=artifact_store)
+                                min_size=config.min_function_size)
 
     # -------------------------------------------------------------- deltas
     def detect_delta(self, module: Module) -> ModuleDelta:
@@ -160,8 +152,8 @@ class PipelineState:
 
     # ------------------------------------------------------------- assembly
     def assemble(self, module: Module
-                 ) -> Tuple[Module, Dict[Function, Dict[str, object]]]:
-        """Build this run's working module plus its precomputed artifacts.
+                 ) -> Tuple[Module, Dict[Function, Fingerprint]]:
+        """Build this run's working module plus its precomputed fingerprints.
 
         The working module clones every pristine function **in the incoming
         module's order** — worklist tie-breaks follow index insertion order,
@@ -169,8 +161,8 @@ class PipelineState:
         run over it.  All cross-references are remapped by name onto working
         objects (operand *identity* patterns must match a cold module's),
         clone digests are seeded from their pristine originals, and every
-        indexed function ships its state-index artifacts so the run index
-        never recomputes a fingerprint or signature for clean content.
+        indexed function ships its state-index fingerprint so the run index
+        never recomputes one for clean content.
         """
         working = Module(module.name)
         clones: List[Tuple[Function, Function]] = []
@@ -183,11 +175,12 @@ class PipelineState:
             working.add_function(clone)
             clones.append((pristine, clone))
         remap_references(working)
-        precomputed: Dict[Function, Dict[str, object]] = {}
+        precomputed: Dict[Function, Fingerprint] = {}
+        fingerprints = self.index.fingerprints
         for pristine, clone in clones:
             clone.prime_content_digest(pristine.content_digest())
-            if pristine in self.index.fingerprints:
-                precomputed[clone] = dict(self.index.export_artifacts(pristine))
+            if pristine in fingerprints:
+                precomputed[clone] = fingerprints[pristine]
         return working, precomputed
 
     # -------------------------------------------------------------- queries
@@ -276,7 +269,7 @@ def load_state(store: ArtifactStore, config: IncrementalConfig
     if stored_config.get("key") != config.key():
         store.note_invalid_payload()
         return None
-    state = PipelineState(config, artifact_store=store)
+    state = PipelineState(config)
     try:
         for name, source_digest, text in payload["functions"]:
             function = parse_named_function(str(text))
@@ -299,9 +292,7 @@ class _EmptyPopulation:
     """The zero-function module stand-in the state index starts from.
 
     Members arrive exclusively through ``CandidateIndex.add`` as deltas are
-    ingested; an ``adaptive`` index starts on its small-population choice
-    and re-evaluates itself as the population grows (see
-    :mod:`repro.search.adaptive`).
+    ingested.
     """
 
     def defined_functions(self) -> List[Function]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from ..analysis.manager import ModuleAnalysisManager
 from ..analysis.size_model import SizeModel, X86_64
@@ -30,8 +30,7 @@ from ..obs.events import (
     REASON_PROFITABLE,
     REASON_TYPE_MISMATCH,
 )
-from ..persist.store import ArtifactStore, StoreStats
-from ..search import SearchStats, SearchStrategy, make_index, resolve_strategy
+from ..search import SearchStats, make_index
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import CallInst, ReturnInst
@@ -78,20 +77,10 @@ class MergePassOptions:
 
     technique: str = "salssa"  # "salssa" or "fmsa"
     exploration_threshold: int = 1
-    #: Candidate-search strategy: a registered name ("exhaustive",
-    #: "size_buckets", "minhash_lsh") or a full SearchStrategy config.  The
-    #: default ranks exactly like a full scan, ties included.
-    search_strategy: Union[str, SearchStrategy] = "exhaustive"
     size_model: SizeModel = X86_64
     cost_model: Optional[CostModel] = None
     salssa: SalSSAOptions = field(default_factory=SalSSAOptions)
     fmsa: FMSAOptions = field(default_factory=FMSAOptions)
-    #: Root directory of a content-addressed artifact store (repro.persist):
-    #: the candidate index then loads per-function signatures from disk and
-    #: only computes for content it has never seen.  None (the default) keeps
-    #: every run cold.  ``run()`` can alternatively be handed a live store,
-    #: which takes precedence.
-    cache_dir: Optional[str] = None
     #: Skip functions smaller than this many IR instructions.
     min_function_size: int = 3
     #: Allow merged functions to be merged again with further candidates.
@@ -126,11 +115,7 @@ class MergeReport:
 
     technique: str
     exploration_threshold: int
-    search_strategy: str = "exhaustive"
     search_stats: Optional[SearchStats] = None
-    #: Artifact-store hit/miss/load/store counters of this run (None when the
-    #: run had no store — the always-cold default).
-    persist_stats: Optional[StoreStats] = None
     size_before: int = 0
     size_after: int = 0
     instructions_before: int = 0
@@ -163,13 +148,10 @@ class FunctionMergingPass:
         self.options = options or MergePassOptions()
         if self.options.technique not in ("salssa", "fmsa"):
             raise ValueError(f"unknown technique {self.options.technique!r}")
-        # Fail fast on unknown strategy names (raises ValueError).
-        self.search_strategy = resolve_strategy(self.options.search_strategy)
 
     # ------------------------------------------------------------ interface
     def run(self, module: Module,
             analysis_manager: Optional[ModuleAnalysisManager] = None,
-            artifact_store: Optional[ArtifactStore] = None,
             metrics=None, precomputed=None,
             attempt_cache=None) -> MergeReport:
         """Run the pass over ``module``.
@@ -177,11 +159,8 @@ class FunctionMergingPass:
         ``analysis_manager`` is threaded through the candidate index (shared
         fingerprints), the cost model (function sizes cached across the
         candidate loop), the mergers' SSA repair and the optional verifier.
-        ``artifact_store`` (or ``options.cache_dir``) additionally lets the
-        candidate index warm-start its per-function signatures from disk.
-        Without either, every consumer computes its analyses from scratch —
-        the reported merges are bit-identical in all modes, only the work
-        differs.
+        Without it, every consumer computes its analyses from scratch — the
+        reported merges are bit-identical either way, only the work differs.
 
         ``metrics`` (None, True or a :class:`repro.obs.MetricsRegistry`)
         turns on telemetry: the pass records ``merge.*`` phase spans and
@@ -191,7 +170,7 @@ class FunctionMergingPass:
         The last two parameters are the incremental pipeline's dirty-set-
         aware entry point (see :mod:`repro.incremental`); both default to the
         batch behaviour.  ``precomputed`` maps functions to already derived
-        index artifacts.  ``attempt_cache`` memoizes attempt outcomes by
+        fingerprints.  ``attempt_cache`` memoizes attempt outcomes by
         content-digest pair: cached pairs replay as *ghost* attempts (no
         alignment, no codegen, no trial IR), and a ghost that wins its
         ranking round is materialized at commit time — spliced from the
@@ -206,13 +185,8 @@ class FunctionMergingPass:
         # repro.obs.events.attach_events): decision-level events only — every
         # emission site is guarded, and nothing below reads the log back.
         events = registry.events if registry is not None else None
-        store = artifact_store
-        if store is None and options.cache_dir is not None:
-            store = ArtifactStore(options.cache_dir)
         alignment_timer = codegen_timer = None
         if registry is not None:
-            if store is not None:
-                store.attach_metrics(registry)
             alignment_timer = registry.timer(
                 "repro_merge_alignment_seconds",
                 help="Wall-clock of per-attempt sequence alignment.",
@@ -224,8 +198,7 @@ class FunctionMergingPass:
         # One cost model for the whole run; resolving it per attempt built a
         # fresh instance in the hot candidate loop.
         cost_model = options.resolved_cost_model()
-        report = MergeReport(options.technique, options.exploration_threshold,
-                             search_strategy=self.search_strategy.name)
+        report = MergeReport(options.technique, options.exploration_threshold)
         report.size_before = options.size_model.module_size(module)
         report.instructions_before = module.num_instructions()
         start_time = time.perf_counter()
@@ -236,15 +209,12 @@ class FunctionMergingPass:
             for f in module.defined_functions()}
 
         with maybe_span(registry, "merge.index_build"):
-            index = make_index(module, self.search_strategy,
-                               min_size=options.min_function_size,
+            index = make_index(module, min_size=options.min_function_size,
                                analysis_manager=manager,
-                               artifact_store=store,
                                precomputed=precomputed)
         if registry is not None:
             index.attach_metrics(registry)
         report.search_stats = index.stats
-        report.persist_stats = store.stats if store is not None else None
         consumed: Set[Function] = set()
         worklist = index.functions_by_size()
         if events is not None:
@@ -279,8 +249,7 @@ class FunctionMergingPass:
                     if events is not None:
                         events.emit("pair_considered", function=function.name,
                                     candidate=other.name, rank=rank,
-                                    distance=candidate.distance,
-                                    strategy=self.search_strategy.name)
+                                    distance=candidate.distance)
                     if other in consumed or other.parent is not module:
                         if events is not None:
                             events.emit("pair_skipped",

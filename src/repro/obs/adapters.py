@@ -26,33 +26,32 @@ def observe_search_stats(registry, stats) -> None:
     """Fold one :class:`~repro.search.stats.SearchStats` into ``registry``."""
     if registry is None or stats is None:
         return
-    strategy = stats.strategy or "unknown"
     registry.counter(
         "repro_search_queries_total",
-        help="candidates_for queries answered by the candidate index.",
-        strategy=strategy).inc(stats.queries)
+        help="candidates_for queries answered by the candidate index."
+        ).inc(stats.queries)
     registry.counter(
         "repro_search_candidates_scanned_total",
-        help="Candidates scored against query fingerprints.",
-        strategy=strategy).inc(stats.candidates_scanned)
+        help="Candidates scored against query fingerprints."
+        ).inc(stats.candidates_scanned)
     registry.counter(
         "repro_search_candidates_returned_total",
-        help="Candidates returned to the merge loop.",
-        strategy=strategy).inc(stats.candidates_returned)
+        help="Candidates returned to the merge loop."
+        ).inc(stats.candidates_returned)
     registry.counter(
         "repro_search_population_available_total",
-        help="Candidates a full scan would have scored.",
-        strategy=strategy).inc(stats.population_available)
+        help="Candidates a full scan would have scored."
+        ).inc(stats.population_available)
     for op, count in (("insert", stats.inserts), ("remove", stats.removals),
                       ("update", stats.updates)):
         registry.counter(
             "repro_search_index_mutations_total",
             help="Incremental index maintenance operations after the build.",
-            strategy=strategy, op=op).inc(count)
+            op=op).inc(count)
     registry.gauge(
         "repro_search_scan_fraction",
         help="Fraction of the full scan's candidate-pair work this run did.",
-        merge_mode="max", strategy=strategy).set(stats.scan_fraction)
+        merge_mode="max").set(stats.scan_fraction)
 
 
 def observe_analysis_stats(registry, stats) -> None:
@@ -106,10 +105,6 @@ def observe_store_stats(registry, stats) -> None:
     registry.counter(
         "repro_store_write_errors_total",
         help="Failed artifact-store write attempts.").inc(stats.write_errors)
-    registry.counter(
-        "repro_store_evicted_total",
-        help="Records deleted by compact() garbage collection.").inc(
-            stats.evicted)
     registry.gauge(
         "repro_store_hit_ratio",
         help="Fraction of store loads served from disk.",
@@ -165,8 +160,8 @@ def observe_incremental_stats(registry, stats) -> None:
 def observe_merge_report(registry, report) -> None:
     """Fold one :class:`~repro.merge.pass_manager.MergeReport` into ``registry``.
 
-    Records the pass-level outcome counters plus the report's search and
-    persist stats.  (Called by :func:`observe_pipeline_result`;
+    Records the pass-level outcome counters plus the report's search
+    stats.  (Called by :func:`observe_pipeline_result`;
     call it directly only for reports produced outside ``run_pipeline``.)
     """
     if registry is None or report is None:
@@ -197,17 +192,14 @@ def observe_merge_report(registry, report) -> None:
         help="Object-size reduction of the merge pass, percent.",
         merge_mode="last", technique=technique).set(report.reduction_percent)
     observe_search_stats(registry, report.search_stats)
-    observe_store_stats(registry, report.persist_stats)
 
 
 def observe_pipeline_result(registry, result) -> None:
     """Fold one :class:`~repro.harness.pipeline.PipelineResult` into ``registry``.
 
     The single per-run fold point ``run_pipeline`` uses: pipeline-level
-    sizes and timings, the merge report (when merging ran) and the
-    analysis-manager counters.  The store counters come through the report
-    when there is one (same live object) and directly otherwise, so they
-    are folded exactly once either way.
+    sizes and timings, the merge report (when merging ran), and the
+    analysis-manager and artifact-store counters.
     """
     if registry is None or result is None:
         return
@@ -239,8 +231,7 @@ def observe_pipeline_result(registry, result) -> None:
             merge_mode="max", technique=technique).set(result.peak_merge_bytes)
     if result.report is not None:
         observe_merge_report(registry, result.report)
-    elif result.persist_stats is not None:
-        observe_store_stats(registry, result.persist_stats)
+    observe_store_stats(registry, result.persist_stats)
     observe_analysis_stats(registry, result.analysis_stats)
 
 

@@ -16,8 +16,8 @@ directory works too — rotated segments are replayed in order, so the
 reconstructed log contains every event even when the in-memory ring
 dropped some (see :mod:`repro.obs.sink`).
 
-``--pair`` prints the pair's full decision timeline — consideration (index
-strategy and query rank), alignment score, profitability verdict with its
+``--pair`` prints the pair's full decision timeline — consideration (query
+rank and fingerprint distance), alignment score, profitability verdict with its
 reason code and cost-model numbers, cache provenance, and whether the merge
 committed, was outranked or rolled back.  ``--slowest`` ranks attempts by
 recorded alignment + codegen wall-clock.  ``--diff`` compares the final

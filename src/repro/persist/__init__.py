@@ -1,9 +1,9 @@
 """Content-addressed persistence: warm-start artifacts for repeated runs.
 
-Every pipeline invocation used to start cold — fingerprints, MinHash/LSH
-signatures and cost-model sizes were recomputed from scratch even when the
-module barely changed between runs.  This subsystem gives those
-process-external artifacts an on-disk home:
+Every pipeline invocation used to start cold — fingerprints and cost-model
+sizes were recomputed from scratch even when the module barely changed
+between runs.  This subsystem gives those process-external artifacts, the
+incremental pipeline's state snapshots and the run ledger an on-disk home:
 
 * :class:`ArtifactStore` — a content-addressed JSON store (one directory,
   versioned records, corruption-tolerant: a bad or stale record is a miss,
@@ -12,12 +12,10 @@ process-external artifacts an on-disk home:
   whose results are pure data (fingerprints, function sizes), keyed by
   :meth:`repro.ir.function.Function.content_digest` so invalidation reduces
   to "the digest changed".
-* The MinHash/LSH candidate index persists its per-function signatures
-  through the same store (see :class:`repro.search.MinHashLSHIndex`).
 
 Thread a ``cache_dir`` through :func:`repro.harness.pipeline.run_pipeline`
-(or :class:`repro.merge.pass_manager.MergePassOptions`) to turn it on; see
-``docs/persistence.md`` for the store layout and invalidation story.
+to turn it on; see ``docs/persistence.md`` for the store layout and
+invalidation story.
 """
 
 from .cache import ANALYSIS_KIND_PREFIX, PersistentAnalysisCache

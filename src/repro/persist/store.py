@@ -6,7 +6,7 @@ directory layout::
     <root>/objects/<kind>/<digest[:2]>/<digest>.json
 
 ``kind`` names the artifact family (``analysis.fingerprint``,
-``minhash_signature``, ...) and ``digest`` is a content address — for
+``incremental.state``, ...) and ``digest`` is a content address — for
 per-function artifacts, :meth:`repro.ir.function.Function.content_digest` —
 so a record is valid exactly as long as the content it was derived from
 exists, with no invalidation protocol at all: content changed ⇒ different
@@ -58,8 +58,6 @@ class StoreStats:
     schema_mismatches: int = 0
     #: Failed write attempts (the store keeps working, just colder).
     write_errors: int = 0
-    #: Records deleted by :meth:`ArtifactStore.compact` garbage collection.
-    evicted: int = 0
 
     @property
     def loads(self) -> int:
@@ -79,7 +77,6 @@ class StoreStats:
         self.corrupt_records += other.corrupt_records
         self.schema_mismatches += other.schema_mismatches
         self.write_errors += other.write_errors
-        self.evicted += other.evicted
         return self
 
     def as_dict(self) -> Dict[str, Any]:
@@ -93,7 +90,6 @@ class StoreStats:
             "corrupt_records": self.corrupt_records,
             "schema_mismatches": self.schema_mismatches,
             "write_errors": self.write_errors,
-            "evicted": self.evicted,
         }
 
 
@@ -243,62 +239,6 @@ class ArtifactStore:
                 continue
             for record in records:
                 yield record.name[:-len(".json")]
-
-    # ------------------------------------------------------------ compaction
-    def compact(self, live_digests, kinds: Optional[Iterable[str]] = None) -> int:
-        """Garbage-collect records whose digest is not in ``live_digests``.
-
-        ``live_digests`` is the set of content digests still reachable (e.g.
-        ``Function.content_digest()`` over every module the store serves);
-        composite record keys like the MinHash signatures'
-        ``<digest>.<config>`` are matched on their leading digest segment, so
-        one live set covers every artifact family derived from the same
-        content.  ``kinds`` restricts collection to the named families.
-
-        Deletion is safe against concurrent readers by the store's own
-        robustness contract: a reader racing a deletion sees a miss, never an
-        error, and a writer racing it simply re-publishes the record.  A
-        record that fails to unlink (already gone, permissions) is skipped.
-        Returns the number of records evicted (also counted on
-        :attr:`StoreStats.evicted`).
-        """
-        live = set(live_digests)
-        objects = self.root / "objects"
-        wanted = None if kinds is None else {
-            _UNSAFE_PATH_CHARS.sub("_", kind) or "_" for kind in kinds}
-        evicted = 0
-        try:
-            kind_dirs = sorted(path for path in objects.iterdir() if path.is_dir())
-        except OSError:
-            return 0
-        for kind_dir in kind_dirs:
-            if wanted is not None and kind_dir.name not in wanted:
-                continue
-            try:
-                fan_dirs = sorted(path for path in kind_dir.iterdir()
-                                  if path.is_dir())
-            except OSError:
-                continue
-            for fan_dir in fan_dirs:
-                try:
-                    records = sorted(fan_dir.glob("*.json"))
-                except OSError:
-                    continue
-                for record in records:
-                    digest = record.name[:-len(".json")]
-                    if digest in live or digest.split(".", 1)[0] in live:
-                        continue
-                    try:
-                        record.unlink()
-                    except OSError:
-                        continue
-                    evicted += 1
-                try:
-                    fan_dir.rmdir()  # best effort: only when emptied
-                except OSError:
-                    pass
-        self.stats.evicted += evicted
-        return evicted
 
     def note_invalid_payload(self) -> None:
         """Record that a consumer rejected a structurally valid record's

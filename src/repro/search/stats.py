@@ -5,9 +5,8 @@ and records one observation per ``candidates_for`` query: how many candidates
 it actually scored against the query fingerprint (*scanned*), how many it
 returned, and how many it *could* have scored (the index population at query
 time, which is what a full scan scores).  The ratio of the two
-totals — :attr:`SearchStats.scan_fraction` — is the headline number for the
-sub-linear strategies: the MinHash/LSH index is only worth its build cost when
-it keeps this well below 1.0 without losing recall.
+totals — :attr:`SearchStats.scan_fraction` — is the share of a full scan's
+pair scoring that the size bound left to do.
 
 The counters aggregate cleanly (see :meth:`SearchStats.merge` and
 :func:`repro.harness.metrics.combine_search_stats`), so per-module stats can
@@ -16,15 +15,14 @@ be rolled up across a whole benchmark suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
 class SearchStats:
     """Aggregate counters of one candidate index (or a merged set of them)."""
 
-    strategy: str = ""
     #: Number of ``candidates_for`` queries answered.
     queries: int = 0
     #: Candidates actually scored against query fingerprints, summed over queries.
@@ -63,10 +61,6 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> "SearchStats":
         """Fold ``other``'s counters into this one (in place) and return self."""
-        if not self.strategy:
-            self.strategy = other.strategy
-        elif other.strategy and other.strategy != self.strategy:
-            self.strategy = "mixed"
         self.queries += other.queries
         self.candidates_scanned += other.candidates_scanned
         self.candidates_returned += other.candidates_returned
@@ -79,7 +73,6 @@ class SearchStats:
     def as_dict(self) -> Dict[str, float]:
         """A flat summary suitable for reporting / ``extra_info`` dumps."""
         return {
-            "strategy": self.strategy,
             "queries": self.queries,
             "candidates_scanned": self.candidates_scanned,
             "candidates_returned": self.candidates_returned,
@@ -90,37 +83,3 @@ class SearchStats:
             "updates": self.updates,
         }
 
-
-def quality_recall(expected: Sequence, observed: Sequence) -> float:
-    """Distance-aware top-k recall over two ``RankedCandidate`` lists.
-
-    Fingerprint distances tie frequently (small functions especially), and any
-    candidate at the same distance is an interchangeable merge partner — the
-    exhaustive ordering among ties is an arbitrary name tie-break.  So instead
-    of requiring the identical functions, this counts rank position ``i`` as
-    recalled when the observed ``i``-th candidate is at least as close as the
-    expected ``i``-th one.
-    """
-    reference = list(expected)
-    if not reference:
-        return 1.0
-    found = list(observed)
-    matched = 0
-    for position, ref in enumerate(reference):
-        if position < len(found) and found[position].distance <= ref.distance:
-            matched += 1
-    return matched / len(reference)
-
-
-def topk_recall(expected: Sequence, observed: Iterable) -> float:
-    """Top-k recall of ``observed`` against the ``expected`` reference set.
-
-    Both arguments are sequences of functions (or any hashable items); the
-    reference is typically the exhaustive index's top-k for one query.  An
-    empty reference counts as perfect recall — there was nothing to find.
-    """
-    reference = list(expected)
-    if not reference:
-        return 1.0
-    found = set(observed)
-    return sum(1 for item in reference if item in found) / len(reference)

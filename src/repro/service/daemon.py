@@ -57,12 +57,11 @@ from .protocol import FATAL_CODES, MAX_MESSAGE_BYTES, ProtocolError, \
     encode_message, error_response, ok_response, read_message
 
 #: Option fields a ``submit`` may carry; fixed per session at creation.
-SESSION_OPTIONS = ("technique", "threshold", "target", "phi_coalescing",
-                   "search_strategy")
+SESSION_OPTIONS = ("technique", "threshold", "target", "phi_coalescing")
 
 _SESSION_DEFAULTS: Dict[str, Any] = {
     "technique": "salssa", "threshold": 1, "target": "x86_64",
-    "phi_coalescing": True, "search_strategy": "exhaustive"}
+    "phi_coalescing": True}
 
 
 class _Session:
@@ -305,7 +304,6 @@ class MergeService:
             threshold=session.options["threshold"],
             target=session.options["target"],
             phi_coalescing=session.options["phi_coalescing"],
-            search_strategy=session.options["search_strategy"],
             artifact_store=self.store,
             metrics=self.registry)
         seconds = time.perf_counter() - started

@@ -97,7 +97,7 @@ class TestFingerprint:
 
     def test_ranking_returns_best_candidates_first(self):
         module = parse_module(PROGRAM)
-        ranking = make_index(module, "exhaustive", min_size=2)
+        ranking = make_index(module, min_size=2)
         medium = module.get_function("medium")
         candidates = ranking.candidates_for(medium, threshold=2)
         assert candidates[0].function.name == "medium_clone"
@@ -105,7 +105,7 @@ class TestFingerprint:
 
     def test_ranking_respects_threshold_and_exclusions(self):
         module = parse_module(PROGRAM)
-        ranking = make_index(module, "exhaustive", min_size=2)
+        ranking = make_index(module, min_size=2)
         medium = module.get_function("medium")
         clone = module.get_function("medium_clone")
         assert len(ranking.candidates_for(medium, threshold=1)) == 1
@@ -117,7 +117,7 @@ class TestFingerprint:
 
     def test_functions_by_size_descending(self):
         module = parse_module(PROGRAM)
-        ranking = make_index(module, "exhaustive", min_size=1)
+        ranking = make_index(module, min_size=1)
         ordered = ranking.functions_by_size()
         sizes = [f.num_instructions() for f in ordered]
         assert sizes == sorted(sizes, reverse=True)

@@ -91,14 +91,14 @@ class TestStatsCombiners:
     the combiners dedupe by identity so passing every run is always safe."""
 
     def test_combine_search_stats_skips_none_and_sums(self):
-        a = SearchStats(strategy="exhaustive", queries=2, candidates_scanned=10)
-        b = SearchStats(strategy="exhaustive", queries=3, candidates_scanned=5)
+        a = SearchStats(queries=2, candidates_scanned=10)
+        b = SearchStats(queries=3, candidates_scanned=5)
         combined = combine_search_stats([a, None, b])
         assert combined.queries == 5
         assert combined.candidates_scanned == 15
 
     def test_combine_search_stats_dedupes_aliases(self):
-        shared = SearchStats(strategy="exhaustive", queries=4)
+        shared = SearchStats(queries=4)
         combined = combine_search_stats([shared, shared, shared])
         assert combined.queries == 4
 

@@ -7,7 +7,6 @@ figure-scale runs live under ``benchmarks/``.
 import pytest
 
 from repro.harness import (
-    candidate_search_comparison,
     combine_search_stats,
     figure5_reg2mem_growth,
     figure17_spec_reduction,
@@ -73,34 +72,17 @@ class TestPipeline:
                               target="arm_thumb", measure_memory=True)
         assert result.peak_merge_bytes > 0
 
-    @pytest.mark.parametrize("strategy", ["exhaustive", "size_buckets", "minhash_lsh"])
-    def test_search_strategy_threads_through(self, strategy):
-        module = get_benchmark("462.libquantum").build()
-        result = run_pipeline(module, "462.libquantum", technique="salssa",
-                              threshold=1, search_strategy=strategy)
-        report = result.report
-        assert report is not None
-        assert report.search_strategy == strategy
-        assert report.search_stats is not None
-        assert report.search_stats.queries > 0
-        assert reporting.format_search_stats(report.search_stats)
-
-    def test_reduction_experiment_accepts_search_strategy(self):
-        result = figure18_mibench_reduction(techniques=("salssa",),
-                                            benchmarks=SMALL_MIBENCH,
-                                            search_strategy="minhash_lsh")
-        assert len(result.rows) == len(SMALL_MIBENCH)
-
     def test_search_stats_aggregation(self):
         reports = []
         for name in SMALL_MIBENCH:
             module = get_mibench(name).build()
             run = run_pipeline(module, name, technique="salssa",
-                               target="arm_thumb", search_strategy="size_buckets")
+                               target="arm_thumb")
+            assert run.report.search_stats.queries > 0
+            assert reporting.format_search_stats(run.report.search_stats)
             reports.append(run.report.search_stats)
         combined = combine_search_stats(reports)
         assert combined.queries == sum(s.queries for s in reports)
-        assert combined.strategy == "size_buckets"
 
 
 class TestFigureRunners:
@@ -172,14 +154,3 @@ class TestFigureRunners:
         for row in result.rows:
             assert row.baseline_steps > 0 and row.merged_steps > 0
         assert reporting.format_figure25(result)
-
-    def test_candidate_search_comparison(self):
-        result = candidate_search_comparison(sizes=(96,), top_k=2, max_queries=48)
-        strategies = {row.strategy for row in result.rows}
-        assert strategies == {"exhaustive", "size_buckets", "minhash_lsh"}
-        exhaustive = result.for_strategy("exhaustive")[0]
-        assert exhaustive.recall == 1.0 and exhaustive.quality == 1.0
-        # Exact, yet pruned by size: it scores only part of the pairs.
-        assert exhaustive.scan_fraction < 1.0
-        assert result.speedup_over_exhaustive("exhaustive", 96) == pytest.approx(1.0)
-        assert reporting.format_search_comparison(result)

@@ -75,8 +75,8 @@ class TestCompact:
         cache = AttemptCache()
         _fill(cache, 4, prefix="live")
         _fill(cache, 3, prefix="dead")
-        cache.index_artifacts["liveart"] = {"fingerprint": object()}
-        cache.index_artifacts["deadart"] = {"fingerprint": object()}
+        cache.index_artifacts["liveart"] = object()
+        cache.index_artifacts["deadart"] = object()
         live = {f"live{i}" for i in range(4)} \
             | {f"live{i}x" for i in range(4)} | {"liveart"}
         dropped = cache.compact(live)
@@ -96,8 +96,8 @@ class TestCompact:
         cache.entries[("a", "b")] = first
         cache.entries[("m1", "c")] = second
         cache.entries[("m2", "gone")] = AttemptOutcome()
-        cache.index_artifacts["m1"] = {"fingerprint": object()}
-        cache.index_artifacts["m2"] = {"fingerprint": object()}
+        cache.index_artifacts["m1"] = object()
+        cache.index_artifacts["m2"] = object()
         dropped = cache.compact({"a", "b", "c"})
         assert set(cache.entries) == {("a", "b"), ("m1", "c")}
         assert set(cache.index_artifacts) == {"m1", "m2"}

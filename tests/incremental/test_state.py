@@ -35,8 +35,9 @@ class TestConfigKey:
         assert base.key() == IncrementalConfig().key()
         assert base.key() != IncrementalConfig(technique="fmsa").key()
         assert base.key() != IncrementalConfig(threshold=5).key()
-        assert base.key() != \
-            IncrementalConfig(search_strategy="minhash_lsh").key()
+        assert base.key() != IncrementalConfig(target="arm_thumb").key()
+        assert base.key() != IncrementalConfig(phi_coalescing=False).key()
+        assert base.key() != IncrementalConfig(min_function_size=5).key()
 
     def test_benchmark_name_is_not_part_of_the_key(self):
         assert IncrementalConfig(benchmark="a").key() == \

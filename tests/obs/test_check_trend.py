@@ -37,11 +37,20 @@ def write_rows(path, rows):
     return str(path)
 
 
-def search_row(recall=0.97, scan_fraction=0.18, quality=0.98, speedup=4.0):
-    return {"bench": "candidate_search", "commit": "abc1234",
-            "num_functions": 256, "strategy": "minhash_lsh",
-            "recall": recall, "scan_fraction": scan_fraction,
-            "quality": quality, "speedup": speedup, "unix_time": 1}
+def cache_row(fingerprint_ratio=2.531, speedup=1.0):
+    """An ``analysis_cache`` row: its ratios are higher-is-better."""
+    return {"bench": "analysis_cache", "commit": "abc1234",
+            "num_functions": 256, "domtree_ratio": 2.224,
+            "fingerprint_ratio": fingerprint_ratio, "hit_rate": 0.5242,
+            "speedup": speedup, "digests_match": True, "unix_time": 1}
+
+
+def incremental_row(rescore_fraction=0.05):
+    """An ``incremental`` row: its rescore fraction is lower-is-better."""
+    return {"bench": "incremental", "commit": "abc1234",
+            "num_functions": 64, "rescore_fraction": rescore_fraction,
+            "pairs_rescored": 3, "speedup": 5.0, "digests_match": True,
+            "unix_time": 1}
 
 
 class TestGateOutcomes:
@@ -49,33 +58,35 @@ class TestGateOutcomes:
         assert gate.main(["--trend", str(tmp_path / "absent.jsonl")]) == 0
 
     def test_stable_history_passes(self, gate, tmp_path):
-        path = write_rows(tmp_path / "t.jsonl", [search_row()] * 4)
+        path = write_rows(tmp_path / "t.jsonl", [cache_row()] * 4)
         assert gate.main(["--trend", path]) == 0
 
     def test_regression_beyond_tolerance_fails(self, gate, tmp_path):
-        rows = [search_row()] * 3 + [search_row(recall=0.5)]
+        rows = [cache_row()] * 3 + [cache_row(fingerprint_ratio=1.5)]
         path = write_rows(tmp_path / "t.jsonl", rows)
         assert gate.main(["--trend", path]) == 1
 
     def test_lower_is_better_direction(self, gate, tmp_path):
-        # scan_fraction rising is a regression even though recall held.
-        rows = [search_row()] * 3 + [search_row(scan_fraction=0.5)]
+        # rescore_fraction rising is a regression even though
+        # pairs_rescored held.
+        rows = [incremental_row()] * 3 + [incremental_row(0.5)]
         path = write_rows(tmp_path / "t.jsonl", rows)
         assert gate.main(["--trend", path]) == 1
 
     def test_drift_within_tolerance_passes(self, gate, tmp_path):
-        rows = [search_row()] * 3 + [search_row(recall=0.94)]  # -3% < 5% tol
+        # -3% < 10% tolerance
+        rows = [cache_row()] * 3 + [cache_row(fingerprint_ratio=2.455)]
         path = write_rows(tmp_path / "t.jsonl", rows)
         assert gate.main(["--trend", path]) == 0
 
     def test_short_history_is_advisory_only(self, gate, tmp_path):
         # One prior row (< MIN_HISTORY): even a huge drop must not fail CI.
-        rows = [search_row(), search_row(recall=0.1)]
+        rows = [cache_row(), cache_row(fingerprint_ratio=0.1)]
         path = write_rows(tmp_path / "t.jsonl", rows)
         assert gate.main(["--trend", path]) == 0
 
     def test_wall_clock_speedup_never_fails(self, gate, tmp_path):
-        rows = [search_row()] * 3 + [search_row(speedup=0.1)]
+        rows = [cache_row()] * 3 + [cache_row(speedup=0.1)]
         path = write_rows(tmp_path / "t.jsonl", rows)
         assert gate.main(["--trend", path]) == 0
 
@@ -114,7 +125,7 @@ class TestSeriesKeying:
         path = tmp_path / "t.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("not json at all\n")
-            handle.write(json.dumps(search_row()) + "\n")
+            handle.write(json.dumps(cache_row()) + "\n")
             handle.write(json.dumps({"no_bench": True}) + "\n")
         assert gate.main(["--trend", str(path)]) == 0
 
@@ -125,7 +136,7 @@ class TestNearZeroBaselines:
         # ANY nonzero value.  The absolute slack admits small counts...
         def persist_row(warm_recomputed):
             return {"bench": "persist_warm_start", "commit": "abc1234",
-                    "num_functions": 96, "signature_reduction": 1.0,
+                    "num_functions": 96,
                     "fingerprint_reduction": 1.0, "warm_hit_rate": 1.0,
                     "warm_recomputed": warm_recomputed, "speedup": 1.3,
                     "digests_match": True, "unix_time": 1}

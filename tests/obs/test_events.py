@@ -189,13 +189,15 @@ class TestMergePassEmission:
                 for event in commits] \
             == [(record.first, record.second) for record in committed]
 
-    def test_pair_considered_carries_rank_and_strategy(self):
+    def test_pair_considered_carries_rank_and_distance(self):
         log = self._run().metrics.events
         considered = log.records("pair_considered")
         assert considered
         for event in considered:
-            assert event.data["rank"] >= 0
-            assert event.data["strategy"] == "exhaustive"
+            assert set(event.data) == {"function", "candidate", "rank",
+                                       "distance"}
+            assert 0 <= event.data["rank"] < 2  # threshold 2
+            assert event.data["distance"] >= 0
 
     def test_below_min_size_functions_reported(self):
         # min_function_size=3 default: the workload's tiny helpers skip.

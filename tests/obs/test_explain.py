@@ -66,7 +66,7 @@ class TestExplainPair:
     def test_skipped_pair_reports_skip_reason(self):
         log = EventLog()
         log.emit("pair_considered", function="f", candidate="g", rank=0,
-                 distance=0, strategy="exhaustive")
+                 distance=0)
         log.emit("pair_skipped", function="f", candidate="g",
                  reason="candidate_consumed")
         story = explain_pair(log, "f", "g")

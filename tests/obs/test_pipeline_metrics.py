@@ -71,9 +71,8 @@ class TestAdapterFolds:
         result = run(metrics=True)
         registry = result.metrics
         stats = result.report.search_stats
-        strategy = stats.strategy
-        assert registry.counter("repro_search_queries_total",
-                                strategy=strategy).value == stats.queries
+        assert registry.counter("repro_search_queries_total").value \
+            == stats.queries
         assert registry.counter("repro_merge_attempts_total",
                                 technique="salssa").value == \
             result.report.attempts
@@ -81,12 +80,12 @@ class TestAdapterFolds:
         assert registry.counter("repro_analysis_queries_total",
                                 result="hit").value == analysis.hits
 
-    def test_store_folded_once_despite_aliasing(self, tmp_path):
-        # PipelineResult.persist_stats and report.persist_stats are the same
-        # live object; the fold point must count it once, not twice.
+    def test_store_folded_once(self, tmp_path):
+        # The store's counters reach the registry through the one fold
+        # point, counted once.
         result = run(metrics=True, cache_dir=str(tmp_path))
-        assert result.persist_stats is result.report.persist_stats
         stats = result.persist_stats
+        assert stats.loads > 0
         registry = result.metrics
         hits = registry.counter("repro_store_loads_total", result="hit").value
         misses = registry.counter("repro_store_loads_total",

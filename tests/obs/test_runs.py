@@ -150,7 +150,7 @@ class TestPipelineIntegration:
         assert "merge" in record.phase_seconds
         # The fingerprinted config holds only outcome-relevant settings.
         assert sorted(record.config) == [
-            "benchmark", "phi_coalescing", "search_strategy", "target",
+            "benchmark", "phi_coalescing", "target",
             "technique", "threshold"]
 
     def test_run_with_sink_records_pointer_and_reasons(self, tmp_path):

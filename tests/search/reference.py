@@ -1,6 +1,6 @@
 """The full-scan candidate ranking, kept as the tests' reference.
 
-``repro.search.ExhaustiveIndex`` prunes its scan with the size bound; this
+``repro.search.CandidateIndex`` prunes its scan with the size bound; this
 class scores every candidate and sorts the lot, so any answer the index gives
 can be checked against it.  It uses the plain :class:`Fingerprint` methods,
 not the index's inlined distance, so the two share no ranking code.
@@ -16,14 +16,11 @@ class CandidateRanking:
 
     For a function, the ``threshold`` candidates nearest by fingerprint
     distance are returned, ordered by ``(distance, -size, name)``.
-    ``fingerprints`` replaces the computed ones (synthetic populations), and
-    candidates below ``similarity_floor`` are dropped.
+    ``fingerprints`` replaces the computed ones (synthetic populations).
     """
 
     def __init__(self, module, min_size: int = 2,
-                 fingerprints: Optional[Dict] = None,
-                 similarity_floor: float = 0.0) -> None:
-        self.similarity_floor = similarity_floor
+                 fingerprints: Optional[Dict] = None) -> None:
         if fingerprints is None:
             fingerprints = {function: Fingerprint.of(function)
                             for function in module.defined_functions()
@@ -45,11 +42,10 @@ class CandidateRanking:
         for other, other_fingerprint in self.fingerprints.items():
             if other is function or other in exclude:
                 continue
-            similarity = fingerprint.similarity(other_fingerprint)
-            if similarity < self.similarity_floor:
-                continue
             distance = fingerprint.distance(other_fingerprint)
             scored.append(((distance, -other_fingerprint.size, other.name),
-                           RankedCandidate(other, distance, similarity)))
+                           RankedCandidate(other, distance,
+                                           fingerprint.similarity(
+                                               other_fingerprint))))
         scored.sort(key=lambda item: item[0])
         return [candidate for _, candidate in scored[:threshold]]

@@ -91,6 +91,11 @@ def test_session_pinned_options():
                 client.submit("pinned", module=snapshots[0],
                               technique="salssa")
             assert caught.value.code == "bad_request"
+            # A field that is no session option is ignored: it neither
+            # pins the session nor conflicts with it.
+            response = client.submit("pinned", module=snapshots[0],
+                                     technique="fmsa", retired_option="x")
+            assert response["job"] == 2
 
 
 def test_submit_responses_carry_job_telemetry(tmp_path):
