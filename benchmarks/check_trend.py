@@ -7,9 +7,8 @@ series back and failing CI when a tracked metric regresses.  For every
 ``(bench, context)`` series it compares the newest row against the trailing
 median of the prior rows:
 
-* **Context** fields (module size, session count, ``host_cpus``)
-  key the series — rows measured under different configurations, or on CI
-  hosts with different CPU counts, never compare against each other.
+* **Context** fields (module size) key the series — rows measured under
+  different configurations never compare against each other.
 * **Deterministic** metrics (recall, construction ratios, hit rates,
   computation reductions) hard-fail when they drop beyond their tolerance —
   but only once the series has at least ``MIN_HISTORY`` prior rows, so a
@@ -51,8 +50,8 @@ class MetricPolicy:
     direction: str
     #: Allowed relative drift, as a fraction of the baseline's magnitude.
     tolerance: float
-    #: Absolute slack added on top — keeps near-zero baselines (e.g. a warm
-    #: run that recomputes 0 fingerprints) from turning any noise into a fail.
+    #: Absolute slack added on top — keeps near-zero baselines (e.g. a delta
+    #: that rescores 0 pairs) from turning any noise into a fail.
     abs_slack: float = 0.0
     #: Advisory metrics report but never fail (wall-clock speedups).
     advisory: bool = False
@@ -67,9 +66,7 @@ class BenchPolicy:
 
 
 #: One entry per bench that appends trend rows.  Context fields must identify
-#: the configuration well enough that rows in one series are comparable:
-#: ``host_cpus`` is context for the load-generator lane because a 2-CPU CI
-#: runner can never reproduce a 16-CPU workstation's throughput.
+#: the configuration well enough that rows in one series are comparable.
 POLICIES: Dict[str, BenchPolicy] = {
     "analysis_cache": BenchPolicy(
         context=("num_functions",),
@@ -77,15 +74,6 @@ POLICIES: Dict[str, BenchPolicy] = {
             "domtree_ratio": MetricPolicy("higher", 0.10),
             "fingerprint_ratio": MetricPolicy("higher", 0.10),
             "hit_rate": MetricPolicy("higher", 0.05, abs_slack=0.01),
-            "speedup": MetricPolicy("higher", 0.25, advisory=True),
-        }),
-    "persist_warm_start": BenchPolicy(
-        context=("num_functions",),
-        metrics={
-            "fingerprint_reduction": MetricPolicy("higher", 0.05,
-                                                  abs_slack=0.01),
-            "warm_hit_rate": MetricPolicy("higher", 0.05, abs_slack=0.01),
-            "warm_recomputed": MetricPolicy("lower", 0.0, abs_slack=2.0),
             "speedup": MetricPolicy("higher", 0.25, advisory=True),
         }),
     "obs_overhead": BenchPolicy(
@@ -110,33 +98,6 @@ POLICIES: Dict[str, BenchPolicy] = {
                                        advisory=True),
             "sink_disk_missing": MetricPolicy("lower", 0.0, abs_slack=0.0),
             "sink_write_errors": MetricPolicy("lower", 0.0, abs_slack=0.0),
-        }),
-    "service": BenchPolicy(
-        # Warm-vs-cold ratio and latencies are wall-clock (advisory on
-        # noisy runners); the digests_match correctness bit fails
-        # immediately as always.
-        context=("num_functions",),
-        metrics={
-            "warm_cold_ratio": MetricPolicy("higher", 0.25, advisory=True),
-            "warm_p50_seconds": MetricPolicy("lower", 0.25, abs_slack=0.05,
-                                             advisory=True),
-            "batch_seconds": MetricPolicy("lower", 0.25, abs_slack=0.05,
-                                          advisory=True),
-        }),
-    "service_load": BenchPolicy(
-        # Open-loop load-generator lane: throughput/latency are wall-clock
-        # and advisory; the error count is deterministic and gated at zero.
-        context=("sessions", "jobs", "num_functions", "host_cpus"),
-        metrics={
-            "latency_p50_seconds": MetricPolicy("lower", 0.25,
-                                                abs_slack=0.05,
-                                                advisory=True),
-            "latency_p95_seconds": MetricPolicy("lower", 0.25,
-                                                abs_slack=0.10,
-                                                advisory=True),
-            "jobs_per_second": MetricPolicy("higher", 0.25, advisory=True),
-            "warm_cold_ratio": MetricPolicy("higher", 0.25, advisory=True),
-            "errors": MetricPolicy("lower", 0.0, abs_slack=0.0),
         }),
     "incremental": BenchPolicy(
         # digest parity (the digests_match correctness bit) fails

@@ -11,11 +11,15 @@ The package is organised as follows:
   (the paper's contribution) and the module-level function-merging pass.
 * :mod:`repro.workloads` — deterministic synthetic SPEC-like and MiBench-like
   programs used in place of the proprietary benchmark suites.
-* :mod:`repro.search` — scalable candidate-search indexes for the merge pass.
-* :mod:`repro.persist` — a content-addressed on-disk artifact store that
-  warm-starts repeated pipeline runs.
+* :mod:`repro.search` — the exact candidate index that ranks merge partners
+  by fingerprint distance.
+* :mod:`repro.incremental` — delta-driven re-merging of a live module,
+  bit-identical to a cold run over the same input.
+* :mod:`repro.persist` — the content-addressed on-disk store the run ledger
+  keeps its records in.
 * :mod:`repro.obs` — the telemetry spine: a unified metrics registry,
-  phase-scoped span tracing and Prometheus/JSON exporters.
+  phase-scoped span tracing, the decision-event recorder, the run ledger
+  and Prometheus/JSON exporters.
 * :mod:`repro.harness` — the experiment pipeline that regenerates every table
   and figure of the paper's evaluation section.
 """
@@ -23,4 +27,4 @@ The package is organised as follows:
 __version__ = "1.0.0"
 
 __all__ = ["ir", "analysis", "transforms", "merge", "workloads", "search",
-           "persist", "obs", "harness"]
+           "incremental", "persist", "obs", "harness"]

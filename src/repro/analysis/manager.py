@@ -21,15 +21,7 @@ re-stamps the cached entry to the current epoch.  The ``since`` argument
 guards against resurrecting entries that were already stale before the
 transform ran.
 
-A manager can additionally be backed by a persistent tier (see
-:class:`repro.persist.PersistentAnalysisCache`): analyses whose results are
-pure data — fingerprints, function sizes — are then looked up on disk by the
-function's content digest before being recomputed, so warm pipeline runs skip
-even the first computation.  Object-graph analyses (dominator trees, liveness)
-never round-trip through the store.
-
-See ``docs/analysis.md`` for the full contract and how to register analyses,
-and ``docs/persistence.md`` for the persistent tier.
+See ``docs/analysis.md`` for the full contract and how to register analyses.
 """
 
 from __future__ import annotations
@@ -144,18 +136,10 @@ class FunctionAnalysisManager:
     """
 
     def __init__(self, registry: Optional[Dict[str, Callable[[Function], Any]]] = None,
-                 stats: Optional[AnalysisStats] = None,
-                 persistent=None) -> None:
+                 stats: Optional[AnalysisStats] = None) -> None:
         self._registry = dict(registry) if registry is not None else default_analyses()
         self._cache: Dict[Function, Dict[str, Tuple[int, Any]]] = {}
         self.stats = stats or AnalysisStats()
-        #: Optional persistent tier (duck-typed; see
-        #: :class:`repro.persist.PersistentAnalysisCache`): consulted on an
-        #: in-memory miss for analyses it declares persistable, and fed every
-        #: freshly computed persistable result.  A persistent load counts as
-        #: a hit here (nothing was recomputed); the store keeps its own
-        #: hit/miss/load/store counters.
-        self._persistent = persistent
         #: Optional repro.obs.MetricsRegistry (see :meth:`attach_metrics`):
         #: when attached, cache misses time their recomputation into the
         #: ``repro_analysis_compute_seconds`` timer family.
@@ -201,24 +185,16 @@ class FunctionAnalysisManager:
                     self.stats.record_hit()
                     return entry[1]
                 self.stats.invalidations += 1
-        loaded = False
-        if self._persistent is not None:
-            loaded, value = self._persistent.load(name, function)
-        if loaded:
-            self.stats.record_hit()
+        if self._metrics is not None:
+            started = time.perf_counter()
+            value = compute(function)
+            self._metrics.timer(
+                "repro_analysis_compute_seconds",
+                help="Wall-clock of analysis recomputations, by analysis.",
+                analysis=name).observe(time.perf_counter() - started)
         else:
-            if self._metrics is not None:
-                started = time.perf_counter()
-                value = compute(function)
-                self._metrics.timer(
-                    "repro_analysis_compute_seconds",
-                    help="Wall-clock of analysis recomputations, by analysis.",
-                    analysis=name).observe(time.perf_counter() - started)
-            else:
-                value = compute(function)
-            self.stats.record_miss(name)
-            if self._persistent is not None:
-                self._persistent.save(name, function, value)
+            value = compute(function)
+        self.stats.record_miss(name)
         per_function[name] = (epoch, value)
         return value
 
@@ -322,11 +298,9 @@ class ModuleAnalysisManager:
 
     def __init__(self, module=None,
                  registry: Optional[Dict[str, Callable[[Function], Any]]] = None,
-                 stats: Optional[AnalysisStats] = None,
-                 persistent=None) -> None:
+                 stats: Optional[AnalysisStats] = None) -> None:
         self.module = module
-        self.functions = FunctionAnalysisManager(registry=registry, stats=stats,
-                                                 persistent=persistent)
+        self.functions = FunctionAnalysisManager(registry=registry, stats=stats)
 
     @property
     def stats(self) -> AnalysisStats:

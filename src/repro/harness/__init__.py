@@ -5,7 +5,6 @@ from .metrics import (
     arithmetic_mean,
     combine_analysis_stats,
     combine_search_stats,
-    combine_store_stats,
     geometric_mean,
     measure_peak_memory,
     measure_time,
@@ -25,12 +24,9 @@ from .experiments import (
     DEFAULT_SPEC_SUBSET,
     AnalysisCacheResult,
     AnalysisCacheRow,
-    WarmStartResult,
-    WarmStartRow,
     analysis_cache_comparison,
     merge_report_digest,
     search_workload,
-    warm_start_comparison,
     Figure5Result,
     Figure19Result,
     Figure20Result,

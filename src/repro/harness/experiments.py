@@ -12,7 +12,6 @@ explicitly for the full sweep (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ from ..ir.interpreter import run_function
 from ..ir.module import Module
 from ..ir.verifier import verify_module
 from ..merge.pass_manager import FunctionMergingPass, MergeReport
-from ..persist import StoreStats
 from ..search import make_index
 from ..transforms.mem2reg import promote_module
 from ..transforms.reg2mem import demote_function, demote_module
@@ -136,16 +134,14 @@ class ReductionResult:
 
 def _reduction_experiment(suite_specs, suite_name: str, target: str,
                           techniques: Sequence[str], thresholds: Sequence[int],
-                          benchmarks: Optional[Iterable[str]],
-                          cache_dir: Optional[str] = None
+                          benchmarks: Optional[Iterable[str]]
                           ) -> ReductionResult:
     result = ReductionResult(suite_name, target)
     for spec in _select_benchmarks(suite_specs, benchmarks):
         for technique in techniques:
             for threshold in thresholds:
                 module = spec.build()
-                run = run_pipeline(module, spec.name, technique, threshold, target,
-                                   cache_dir=cache_dir)
+                run = run_pipeline(module, spec.name, technique, threshold, target)
                 report = run.report
                 result.rows.append(ReductionRow(
                     spec.name, technique, threshold, run.reduction_percent,
@@ -157,24 +153,20 @@ def _reduction_experiment(suite_specs, suite_name: str, target: str,
 def figure17_spec_reduction(suite: str = "spec2006",
                             techniques: Sequence[str] = ("fmsa", "salssa"),
                             thresholds: Sequence[int] = (1,),
-                            benchmarks: Optional[Iterable[str]] = DEFAULT_SPEC_SUBSET,
-                            cache_dir: Optional[str] = None
+                            benchmarks: Optional[Iterable[str]] = DEFAULT_SPEC_SUBSET
                             ) -> ReductionResult:
     """Linked-object size reduction over LTO on the SPEC-like suites (Fig. 17)."""
     return _reduction_experiment(get_suite(suite), suite, "x86_64",
-                                 techniques, thresholds, benchmarks,
-                                 cache_dir=cache_dir)
+                                 techniques, thresholds, benchmarks)
 
 
 def figure18_mibench_reduction(techniques: Sequence[str] = ("fmsa", "salssa"),
                                thresholds: Sequence[int] = (1,),
-                               benchmarks: Optional[Iterable[str]] = DEFAULT_MIBENCH_SUBSET,
-                               cache_dir: Optional[str] = None
+                               benchmarks: Optional[Iterable[str]] = DEFAULT_MIBENCH_SUBSET
                                ) -> ReductionResult:
     """Linked-object size reduction on the MiBench-like suite, ARM-Thumb model (Fig. 18)."""
     return _reduction_experiment(MIBENCH, "mibench", "arm_thumb",
-                                 techniques, thresholds, benchmarks,
-                                 cache_dir=cache_dir)
+                                 techniques, thresholds, benchmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +543,7 @@ def figure25_runtime_overhead(suite: str = "spec2006",
 
 
 # ---------------------------------------------------------------------------
-# A generated workload of any size (analysis-cache and warm-start experiments)
+# A generated workload of any size (analysis-cache experiments)
 # ---------------------------------------------------------------------------
 
 def search_workload(num_functions: int, seed: int = 7,
@@ -728,92 +720,3 @@ def analysis_cache_comparison(sizes: Sequence[int] = (128, 256),
                 analysis_stats=manager.stats if manager else None,
                 report_digest=merge_report_digest(report)))
     return result
-
-
-# ---------------------------------------------------------------------------
-# Warm-start comparison: the persistent artifact store's savings (repro.persist)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WarmStartRow:
-    """One (module size, cold/warm) pipeline run against a shared store."""
-
-    num_functions: int
-    mode: str  # "cold" (store empty) or "warm" (store populated by the cold run)
-    wall_seconds: float
-    fingerprints_computed: int
-    persist_stats: Optional[StoreStats]
-    report_digest: Tuple
-
-
-@dataclass
-class WarmStartResult:
-    """Cold-vs-warm comparison rows, per module size."""
-
-    rows: List[WarmStartRow] = field(default_factory=list)
-
-    def row(self, num_functions: int, mode: str) -> Optional[WarmStartRow]:
-        for row in self.rows:
-            if row.num_functions == num_functions and row.mode == mode:
-                return row
-        return None
-
-    def digests_match(self, num_functions: int) -> bool:
-        cold = self.row(num_functions, "cold")
-        warm = self.row(num_functions, "warm")
-        return cold is not None and warm is not None \
-            and cold.report_digest == warm.report_digest
-
-    def fingerprint_reduction(self, num_functions: int) -> float:
-        """Fraction of the cold run's fingerprint computations the warm run
-        avoided: 1.0 means the warm run computed none; 0.0 means it saved
-        nothing (or there was nothing to save)."""
-        cold = self.row(num_functions, "cold")
-        warm = self.row(num_functions, "warm")
-        if cold is None or warm is None or cold.fingerprints_computed <= 0:
-            return 0.0
-        return 1.0 - warm.fingerprints_computed / cold.fingerprints_computed
-
-    def speedup(self, num_functions: int) -> float:
-        cold = self.row(num_functions, "cold")
-        warm = self.row(num_functions, "warm")
-        if cold is None or warm is None or warm.wall_seconds <= 0:
-            return 0.0
-        return cold.wall_seconds / warm.wall_seconds
-
-
-def warm_start_comparison(sizes: Sequence[int] = (128,),
-                          cache_dir: Optional[str] = None,
-                          technique: str = "salssa",
-                          target: str = "arm_thumb",
-                          seed: int = 7) -> WarmStartResult:
-    """Run the pipeline twice per size against one shared artifact store.
-
-    The first (cold) run populates ``cache_dir``; the second (warm) run must
-    produce a bit-identical merge report while computing a small fraction of
-    the fingerprints — the acceptance bar asserted by
-    ``benchmarks/bench_persist.py``.  Each size gets its own store subtree so
-    cold runs are genuinely cold (same-seed workloads of different sizes
-    share their leading families, which would otherwise pre-warm them).
-    """
-    if cache_dir is None:
-        raise ValueError("warm_start_comparison needs a cache_dir")
-    result = WarmStartResult()
-    for num_functions in sizes:
-        size_dir = os.path.join(cache_dir, f"size{num_functions}")
-        for mode in ("cold", "warm"):
-            module = search_workload(num_functions, seed=seed)
-            with track_constructions() as tracker:
-                started = time.perf_counter()
-                run = run_pipeline(module, f"warm{num_functions}", technique, 1,
-                                   target, cache_dir=size_dir)
-                wall_seconds = time.perf_counter() - started
-            result.rows.append(WarmStartRow(
-                num_functions=num_functions,
-                mode=mode,
-                wall_seconds=wall_seconds,
-                fingerprints_computed=tracker.delta("Fingerprint"),
-                persist_stats=run.persist_stats,
-                report_digest=merge_report_digest(run.report)))
-    return result
-

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..analysis.manager import AnalysisStats
-from ..persist import StoreStats
 from ..search.stats import SearchStats
 
 
@@ -82,11 +81,10 @@ def arithmetic_mean(values: Iterable[float]) -> float:
 def _merge_distinct(combined, stats):
     """Merge each *distinct* stats object into ``combined`` exactly once.
 
-    Several results routinely alias one live stats object — pipeline runs
-    sharing an :class:`~repro.persist.ArtifactStore` share its
-    :class:`~repro.persist.StoreStats` — so entries are deduplicated by
-    identity before merging; folding the same object twice would double
-    every total.  ``None`` entries are skipped.
+    Several results routinely alias one live stats object — a pipeline
+    result and its merge report share their search stats — so entries are
+    deduplicated by identity before merging; folding the same object twice
+    would double every total.  ``None`` entries are skipped.
     """
     seen = set()
     for entry in stats:
@@ -117,18 +115,6 @@ def combine_analysis_stats(stats: Iterable[Optional[AnalysisStats]]) -> Analysis
     mirroring :func:`combine_search_stats`.
     """
     return _merge_distinct(AnalysisStats(), stats)
-
-
-def combine_store_stats(stats: Iterable[Optional[StoreStats]]) -> StoreStats:
-    """Roll per-run artifact-store counters up into one aggregate.
-
-    Accepts the ``persist_stats`` of many pipeline results (``None`` entries
-    — runs without a ``cache_dir`` — are skipped).  Runs sharing one live
-    :class:`~repro.persist.ArtifactStore` share its stats object; such
-    aliases are merged exactly once, so passing every run of a shared-store
-    experiment is safe and never double-counts.
-    """
-    return _merge_distinct(StoreStats(), stats)
 
 
 def speedup(reference_seconds: float, measured_seconds: float) -> float:

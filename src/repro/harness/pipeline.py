@@ -16,11 +16,10 @@ from typing import Dict, Optional, Union
 from ..analysis.manager import AnalysisStats, ModuleAnalysisManager
 from ..analysis.size_model import SizeModel, X86_64, get_target
 from ..incremental import IncrementalConfig, IncrementalStats, ModuleDelta, \
-    PipelineState, load_state, save_state
+    PipelineState
 from ..obs import EventLog, MetricsRegistry, as_registry, attach_events, \
     attach_run_ledger, cached_bucket_overrides, maybe_span, \
     observe_incremental_stats, observe_pipeline_result, record_pipeline_run
-from ..persist import ArtifactStore, PersistentAnalysisCache, StoreStats
 from ..ir.module import Module
 from ..ir.printer import print_module
 from ..ir.verifier import verify_module
@@ -49,9 +48,6 @@ class PipelineResult:
     #: Cache hit/miss/invalidation counters of the module-level analysis
     #: manager (None when the run was executed without analysis caching).
     analysis_stats: Optional[AnalysisStats] = None
-    #: Hit/miss/load/store counters of the content-addressed artifact store
-    #: (None when the run had no ``cache_dir`` — the always-cold default).
-    persist_stats: Optional[StoreStats] = None
     #: The run's unified telemetry (see :mod:`repro.obs`): every stats view
     #: above folded into one registry, plus phase spans and timers.  None
     #: unless ``run_pipeline`` was called with ``metrics=``; export with
@@ -157,8 +153,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                  measure_memory: bool = False,
                  analysis_manager: Optional[ModuleAnalysisManager] = None,
                  analysis_caching: bool = True,
-                 cache_dir: Optional[str] = None,
-                 artifact_store: Optional[ArtifactStore] = None,
                  metrics: Union[None, bool, str, MetricsRegistry] = None,
                  events: Union[None, bool, EventLog] = None,
                  run_ledger=None
@@ -174,20 +168,12 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     (or an explicit ``analysis_manager``) to override — merge outcomes are
     bit-identical with and without the cache, only the work differs.
 
-    ``cache_dir`` (or a live ``artifact_store``) turns on cross-run
-    persistence (see :mod:`repro.persist`): the pipeline-owned manager then
-    loads fingerprints and function sizes by content digest, and the store's
-    counters are surfaced on :attr:`PipelineResult.persist_stats`.  Reports are
-    bit-identical with a cold, warm or absent store.  (An explicitly passed
-    ``analysis_manager`` is used as-is — it keeps whatever persistent tier it
-    was built with.)
-
     ``metrics`` turns on the unified telemetry spine (see :mod:`repro.obs`):
     ``True`` gives the run a fresh :class:`~repro.obs.MetricsRegistry`,
     ``"deep"`` one that additionally attributes net ``tracemalloc``
     allocation to every phase span, or pass a registry to accumulate several
     runs into one.  The registry is threaded through every layer — phase
-    spans and store/search/analysis hooks — and surfaced on
+    spans and search/analysis hooks — and surfaced on
     :attr:`PipelineResult.metrics` with all the stats views above folded in.
     Registries the pipeline creates get trend-tuned histogram ladders when
     ``benchmarks/trend.jsonl`` carries enough quantile history per family,
@@ -214,19 +200,11 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     size_model = get_target(target)
     registry = _pipeline_registry(metrics, events, run_ledger)
     try:
-        store = artifact_store
-        if store is None and cache_dir is not None:
-            store = ArtifactStore(cache_dir)
         manager = analysis_manager
         if manager is None and analysis_caching:
-            persistent = PersistentAnalysisCache(store) \
-                if store is not None else None
-            manager = ModuleAnalysisManager(module, persistent=persistent)
-        if registry is not None:
-            if store is not None:
-                store.attach_metrics(registry)
-            if manager is not None:
-                manager.attach_metrics(registry)
+            manager = ModuleAnalysisManager(module)
+        if registry is not None and manager is not None:
+            manager.attach_metrics(registry)
         baseline_seconds = baseline_compile(module, manager, registry)
         baseline_size = size_model.module_size(module)
         baseline_instructions = module.num_instructions()
@@ -239,7 +217,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                 baseline_instructions, baseline_instructions,
                 baseline_seconds, 0.0,
                 analysis_stats=manager.stats if manager else None,
-                persist_stats=store.stats if store else None,
                 metrics=registry)
             observe_pipeline_result(registry, result)
             record_pipeline_run(registry, result, mode="cold", config=run_config)
@@ -274,7 +251,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
             report=report,
             peak_merge_bytes=peak_bytes,
             analysis_stats=manager.stats if manager else None,
-            persist_stats=store.stats if store else None,
             metrics=registry,
         )
         observe_pipeline_result(registry, result)
@@ -318,8 +294,6 @@ def run_pipeline_incremental(module: Module,
                              threshold: int = 1,
                              target: str = "x86_64",
                              phi_coalescing: bool = True,
-                             cache_dir: Optional[str] = None,
-                             artifact_store: Optional[ArtifactStore] = None,
                              metrics: Union[None, bool, str, MetricsRegistry]
                              = None,
                              events: Union[None, bool, EventLog]
@@ -335,11 +309,9 @@ def run_pipeline_incremental(module: Module,
     fingerprints are reused for every clean function — near-O(|delta|) work
     per call for live modules.
 
-    ``state`` is ``None`` on the first call: with a ``cache_dir`` (or
-    ``artifact_store``) the pipeline then tries to *load* the previous
-    process's state snapshot and warm-start straight into incremental mode;
-    otherwise it bootstraps cold (every pair is a cache miss — the same
-    work a cold run does, invested once).  ``delta`` is detected via
+    ``state`` is ``None`` on the first call: the pipeline then bootstraps
+    cold (every pair is a cache miss — the same work a cold run does,
+    invested once).  ``delta`` is detected via
     ``content_digest`` diffs when not supplied.  The input module is never
     mutated — each run replays over a working copy assembled from the
     state's pristine functions, so the caller keeps editing the live module
@@ -348,8 +320,8 @@ def run_pipeline_incremental(module: Module,
     ``metrics`` and ``events`` match :func:`run_pipeline`: the telemetry
     registry and the flight recorder, both purely observational.  Replay
     decisions (cache-hit verdicts, splice vs deterministic re-merge with the
-    ``named_key`` guard, state-snapshot provenance) land in the event log
-    with their reason codes.
+    ``named_key`` guard, whether the state was live or bootstrapped) land in
+    the event log with their reason codes.
 
     ``run_ledger`` matches :func:`run_pipeline`: the durable run ledger
     (records land with ``mode="incremental"`` plus the delta's
@@ -360,23 +332,15 @@ def run_pipeline_incremental(module: Module,
     registry = _pipeline_registry(metrics, events, run_ledger)
     events_log = registry.events if registry is not None else None
     try:
-        store = artifact_store
-        if store is None and cache_dir is not None:
-            store = ArtifactStore(cache_dir)
         config = IncrementalConfig(
-            benchmark=benchmark, technique=technique, threshold=threshold,
-            target=target, phi_coalescing=phi_coalescing)
+            technique=technique, threshold=threshold, target=target,
+            phi_coalescing=phi_coalescing)
         with maybe_span(registry, "incremental.delta"):
-            loaded_from_store = False
-            if state is None and store is not None:
-                state = load_state(store, config)
-                loaded_from_store = state is not None
             if events_log is not None:
                 events_log.emit(
                     "state_load", benchmark=benchmark,
-                    provenance="artifact_store" if loaded_from_store
-                    else ("live_state" if state is not None
-                          else "cold_bootstrap"))
+                    provenance="live_state" if state is not None
+                    else "cold_bootstrap")
             if state is None:
                 state = PipelineState(config)
             elif state.config.key() != config.key():
@@ -384,17 +348,13 @@ def run_pipeline_incremental(module: Module,
                     "run_pipeline_incremental called with a state built for "
                     "a different configuration; start a new state (or pass "
                     "matching technique/threshold/target arguments)")
-            if registry is not None and store is not None:
-                store.attach_metrics(registry)
             with maybe_span(registry, "incremental.apply_delta"):
                 if delta is None:
                     delta = state.detect_delta(module)
                 state.apply_delta(module, delta)
             with maybe_span(registry, "incremental.assemble"):
                 working, precomputed = state.assemble(module)
-            persistent = PersistentAnalysisCache(store) \
-                if store is not None else None
-            manager = ModuleAnalysisManager(working, persistent=persistent)
+            manager = ModuleAnalysisManager(working)
             if registry is not None:
                 manager.attach_metrics(registry)
             baseline_size = size_model.module_size(working)
@@ -403,7 +363,6 @@ def run_pipeline_incremental(module: Module,
                                         phi_coalescing)
             merging_pass = FunctionMergingPass(options)
             state.cache.begin_run()
-            evicted_before = state.cache.evicted
             started = time.perf_counter()
             with maybe_span(registry, "incremental.merge"):
                 report = merging_pass.run(
@@ -423,7 +382,6 @@ def run_pipeline_incremental(module: Module,
                 merge_seconds=merge_seconds,
                 report=report,
                 analysis_stats=manager.stats,
-                persist_stats=store.stats if store is not None else None,
                 metrics=registry,
             )
             stats = IncrementalStats(
@@ -436,14 +394,9 @@ def run_pipeline_incremental(module: Module,
                 merges_spliced=state.cache.merges_spliced,
                 merges_recomputed=state.cache.merges_recomputed,
                 attempts=report.attempts,
-                cache_evicted=state.cache.evicted - evicted_before,
                 wall_seconds=merge_seconds,
             )
-            state.report = report
             state.analysis_manager = manager
-            if store is not None:
-                with maybe_span(registry, "incremental.snapshot"):
-                    save_state(store, state)
             observe_pipeline_result(registry, result)
             observe_incremental_stats(registry, stats)
             record_pipeline_run(

@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..analysis.manager import AnalysisStats
-from ..persist import StoreStats
 from ..search.stats import SearchStats
 from .experiments import (
     AnalysisCacheResult,
-    WarmStartResult,
     Figure5Result,
     Figure19Result,
     Figure20Result,
@@ -146,37 +144,6 @@ def format_analysis_cache(result: AnalysisCacheResult) -> str:
                      "match" if result.digests_match(size) else "MISMATCH"))
     return format_table(("#fns", "mode", "wall", "domtrees", "fingerprints",
                          "hit rate / digest"), rows)
-
-
-def format_store_stats(stats: StoreStats) -> str:
-    """One-line summary of an artifact store's counters."""
-    extras = []
-    if stats.corrupt_records:
-        extras.append(f"{stats.corrupt_records} corrupt")
-    if stats.schema_mismatches:
-        extras.append(f"{stats.schema_mismatches} schema-mismatched")
-    if stats.write_errors:
-        extras.append(f"{stats.write_errors} write errors")
-    return (f"artifact store: {stats.hits} hits / {stats.misses} misses "
-            f"({100.0 * stats.hit_rate:.1f}% hit rate), {stats.stores} stores"
-            + (f" [{', '.join(extras)}]" if extras else ""))
-
-
-def format_warm_start(result: WarmStartResult) -> str:
-    rows = []
-    for row in result.rows:
-        stats = row.persist_stats
-        rows.append((row.num_functions, row.mode,
-                     f"{row.wall_seconds * 1e3:.0f} ms",
-                     row.fingerprints_computed,
-                     f"{100.0 * stats.hit_rate:.1f}%" if stats else "n/a"))
-    for size in sorted({row.num_functions for row in result.rows}):
-        rows.append((size, "ratio",
-                     f"{result.speedup(size):.2f}x",
-                     f"-{100.0 * result.fingerprint_reduction(size):.1f}%",
-                     "match" if result.digests_match(size) else "MISMATCH"))
-    return format_table(("#fns", "mode", "wall", "fingerprints",
-                         "store hit rate / digest"), rows)
 
 
 def format_search_stats(stats: SearchStats) -> str:

@@ -1,4 +1,4 @@
-"""Pipeline state carried across deltas, and its persistent snapshot.
+"""Pipeline state carried across deltas.
 
 A :class:`PipelineState` owns everything one module's merge pipeline can
 reuse between runs:
@@ -14,27 +14,18 @@ reuse between runs:
 * the **attempt cache** (:class:`~repro.incremental.cache.AttemptCache`) —
   the memoized pair scores and merged bodies that make replaying a run
   near-O(|delta|).
-* the previous run's :class:`~repro.merge.pass_manager.MergeReport` and
-  analysis manager, plus the clone clusters derived from the report.
-
-``save_state`` / ``load_state`` snapshot the whole thing into a
-:class:`~repro.persist.ArtifactStore` keyed by benchmark + configuration, so
-a restarted process warm-starts straight into incremental mode (see
-``docs/incremental.md`` for the snapshot format).
+* the previous run's analysis manager.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.fingerprint import Fingerprint
 from ..ir.function import Function
 from ..ir.module import Module
-from ..ir.parser import parse_named_function
-from ..ir.printer import print_function
-from ..persist.store import ArtifactStore
 from ..search import make_index
 from ..transforms.clone import clone_function
 from ..transforms.mem2reg import promote_allocas
@@ -42,14 +33,6 @@ from ..transforms.simplify import simplify_function
 from .cache import AttemptCache
 from .delta import ModuleDelta, detect_delta, remap_references, \
     replace_function_body
-
-#: Artifact-store kind of pipeline-state snapshots.
-STATE_KIND = "incremental.state"
-
-#: Version tag of the snapshot payload; bump on incompatible change (old
-#: snapshots then read as absent — a cold bootstrap, never wrong data).
-#: Version 2 records one fingerprint per artifact digest.
-STATE_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +44,6 @@ class IncrementalConfig:
     are not — one state serves them all.
     """
 
-    benchmark: str = "incremental"
     technique: str = "salssa"
     threshold: int = 1
     target: str = "x86_64"
@@ -74,9 +56,6 @@ class IncrementalConfig:
                      self.phi_coalescing, self.min_function_size))
         return hashlib.blake2b(text.encode("utf-8"),
                                digest_size=12).hexdigest()
-
-    def payload(self) -> Dict[str, Any]:
-        return {"benchmark": self.benchmark, "key": self.key()}
 
 
 class PipelineState:
@@ -91,8 +70,8 @@ class PipelineState:
         self.source_digests: Dict[str, str] = {}
         self.cache = AttemptCache()
         self.deltas_applied = 0
-        #: The previous run's report / manager (telemetry + cluster queries).
-        self.report = None
+        #: The previous run's analysis manager (it holds that run's output
+        #: module until the next run replaces it).
         self.analysis_manager = None
         self.index = make_index(_EmptyPopulation(),
                                 min_size=config.min_function_size)
@@ -182,110 +161,6 @@ class PipelineState:
             if pristine in fingerprints:
                 precomputed[clone] = fingerprints[pristine]
         return working, precomputed
-
-    # -------------------------------------------------------------- queries
-    def live_digests(self) -> Set[str]:
-        """Content digests a future replay can still look up directly.
-
-        The pristine functions' digests.  Feed this to
-        :meth:`AttemptCache.compact`, which itself expands the set through
-        committed merged functions (their digests are recorded on the cache
-        entries), then drops everything unreachable.
-        """
-        return {function.content_digest()
-                for function in self.functions.values()}
-
-    def compact_cache(self) -> int:
-        """Drop attempt-cache entries no future delta stream can reference."""
-        return self.cache.compact(self.live_digests())
-
-    def clone_clusters(self) -> List[Set[str]]:
-        """Connected components of the last report's committed merges."""
-        if self.report is None:
-            return []
-        parent: Dict[str, str] = {}
-
-        def find(name: str) -> str:
-            parent.setdefault(name, name)
-            while parent[name] != name:
-                parent[name] = parent[parent[name]]
-                name = parent[name]
-            return name
-
-        def union(a: str, b: str) -> None:
-            parent[find(a)] = find(b)
-
-        for record in self.report.records:
-            if record.committed:
-                union(record.first, record.merged)
-                union(record.second, record.merged)
-        clusters: Dict[str, Set[str]] = {}
-        for name in parent:
-            clusters.setdefault(find(name), set()).add(name)
-        return sorted(clusters.values(), key=lambda c: sorted(c)[0])
-
-    # ------------------------------------------------------------- snapshot
-    def snapshot_digest(self) -> str:
-        """The store digest this state's snapshot lives under (per benchmark
-        and configuration, so a restarted process finds the latest state)."""
-        return f"{self.config.benchmark}.{self.config.key()}"
-
-    def snapshot_payload(self) -> Dict[str, Any]:
-        return {
-            "schema": STATE_SCHEMA,
-            "config": self.config.payload(),
-            "deltas_applied": self.deltas_applied,
-            "functions": [
-                [name, self.source_digests.get(name, ""),
-                 print_function(function)]
-                for name, function in self.functions.items()],
-            "attempts": self.cache.attempts_payload(),
-            "artifacts": self.cache.artifacts_payload(),
-        }
-
-
-def save_state(store: ArtifactStore, state: PipelineState) -> bool:
-    """Publish ``state``'s snapshot (atomic last-wins replace)."""
-    return store.store(STATE_KIND, state.snapshot_digest(),
-                       state.snapshot_payload())
-
-
-def load_state(store: ArtifactStore, config: IncrementalConfig
-               ) -> Optional[PipelineState]:
-    """Rebuild a :class:`PipelineState` from its snapshot, or None (a miss).
-
-    Any defect — absent record, schema drift, configuration mismatch,
-    unparseable function text — is a miss: the caller bootstraps cold,
-    which is always correct, just slower.
-    """
-    digest = f"{config.benchmark}.{config.key()}"
-    payload = store.load(STATE_KIND, digest)
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("schema") != STATE_SCHEMA:
-        store.note_invalid_payload()
-        return None
-    stored_config = payload.get("config", {})
-    if stored_config.get("key") != config.key():
-        store.note_invalid_payload()
-        return None
-    state = PipelineState(config)
-    try:
-        for name, source_digest, text in payload["functions"]:
-            function = parse_named_function(str(text))
-            if function.name != str(name):
-                raise ValueError(f"snapshot text names @{function.name}, "
-                                 f"recorded as @{name}")
-            state.functions[str(name)] = function
-            state.source_digests[str(name)] = str(source_digest)
-            state.index.add(function)
-        state.cache.load_payloads(payload.get("attempts", []),
-                                  payload.get("artifacts", {}))
-        state.deltas_applied = int(payload.get("deltas_applied", 0))
-    except (KeyError, TypeError, ValueError):
-        store.note_invalid_payload()
-        return None
-    return state
 
 
 class _EmptyPopulation:

@@ -35,8 +35,6 @@ class IncrementalStats:
     #: Total attempts the replayed ranking loop evaluated (= the cold run's
     #: ``MergeReport.attempts`` — replay preserves the loop bit for bit).
     attempts: int = 0
-    #: Attempt-cache entries evicted during this run (LRU cap + compaction).
-    cache_evicted: int = 0
     wall_seconds: float = 0.0
 
     @property
@@ -70,6 +68,5 @@ class IncrementalStats:
             "merges_spliced": self.merges_spliced,
             "merges_recomputed": self.merges_recomputed,
             "attempts": self.attempts,
-            "cache_evicted": self.cache_evicted,
             "wall_seconds": self.wall_seconds,
         }

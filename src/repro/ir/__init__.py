@@ -80,8 +80,7 @@ from .printer import (
     print_module,
     value_ref,
 )
-from .parser import ParseError, parse_canonical_function, parse_function, \
-    parse_module
+from .parser import ParseError, parse_function, parse_module
 from .verifier import VerificationError, verify_function, verify_module
 from .interpreter import (
     BLOCK_PLAN_ANALYSIS,

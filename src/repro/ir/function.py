@@ -13,8 +13,8 @@ from .values import Argument, GlobalValue
 
 #: Version tag of the canonical serialization + digest semantics.  Bump it
 #: whenever :func:`repro.ir.printer.canonical_function_text` or the hash
-#: construction changes: persisted artifacts keyed by old digests then become
-#: unreachable (a cold rebuild) instead of silently wrong.
+#: construction changes, so digests from different semantics never compare
+#: equal.
 DIGEST_SCHEMA = "repro-fn-digest-v1"
 
 #: The one function whose name table is live (see :meth:`Function.unique_name`).
@@ -75,15 +75,15 @@ class Function(GlobalValue):
         identical functions share a digest across renames, runs and
         processes.  The result is memoized against :attr:`mutation_epoch`
         — mutating the IR invalidates the digest the same way it invalidates
-        cached analyses.  This is the content-address under which
-        ``repro.persist`` stores per-function artifacts.
+        cached analyses.  The incremental pipeline keys delta detection and
+        its attempt cache on it.
         """
         cached = self._content_digest
         epoch = self._mutation_epoch
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        # Rendered transiently: digest-only consumers (warm-start lookups
-        # over whole modules) must not pin every function's full text.
+        # Rendered transiently: digest-only consumers (delta detection over
+        # whole modules) must not pin every function's full text.
         from .printer import canonical_function_text  # deferred import
         text = canonical_function_text(self)
         digest = hashlib.blake2b(f"{DIGEST_SCHEMA}\n{text}".encode("utf-8"),

@@ -170,69 +170,17 @@ def parse_function(text: str, module: Optional[Module] = None) -> Function:
     return result
 
 
-_CANONICAL_HEADER_RE = re.compile(r"^(define|declare)\s+(.+?)\s*\((.*)\)\s*\{?\s*$")
-
-
-def parse_canonical_function(text: str, name: str = "f",
-                             module: Optional[Module] = None) -> Function:
-    """Reconstruct a function from its canonical, name-independent text.
-
-    Inverse of :func:`repro.ir.printer.canonical_function_text`: the header
-    carries no function name and bare parameter types (arguments are
-    referenced as ``%a0..`` in the body), and globals the function uses are
-    referenced by name without being defined.  The function is rebuilt under
-    ``name`` (in ``module``, or a fresh one) with positional argument names
-    and implicitly declared globals, so that read-only analyses — and the
-    canonical serialization itself — see exactly the shipped content:
-
-    >>> canonical_function_text(parse_canonical_function(t)) == t
-
-    holds for every canonical text ``t``, which makes
-    ``Function.content_digest()`` stable across a print/parse round trip.
-    """
-    lines = [_strip_comment(raw) for raw in text.splitlines()]
-    stripped = [line.strip() for line in lines if line.strip()]
-    if not stripped:
-        raise ParseError("empty canonical function text")
-    match = _CANONICAL_HEADER_RE.match(stripped[0])
-    if not match:
-        raise ParseError("malformed canonical function header", stripped[0])
-    keyword, return_text, params_text = match.groups()
-    param_types: List[Type] = []
-    params_text = params_text.strip()
-    vararg = "..." in params_text
-    if params_text:
-        for param in _split_top_level(params_text):
-            param = param.strip()
-            if param == "...":
-                continue
-            param_types.append(parse_type(param))
-    function_type = FunctionType(parse_type(return_text), tuple(param_types), vararg)
-    arg_names = [f"a{index}" for index in range(len(param_types))]
-    target = module if module is not None else Module(f"canonical.{name}")
-    function = Function(function_type, name, arg_names)
-    target.add_function(function)
-    if keyword == "declare":
-        return function
-    body = stripped[1:]
-    if not body or body[-1] != "}":
-        raise ParseError("unterminated canonical function body", stripped[0])
-    _FunctionBodyParser(target, function, implicit_globals=True).parse(body[:-1])
-    return function
-
-
 def parse_named_function(text: str, module: Optional[Module] = None) -> Function:
     """Reconstruct one function from its *named* rendering.
 
-    Inverse of :func:`repro.ir.printer.print_function`: unlike
-    :func:`parse_canonical_function` this preserves every local argument,
-    block and instruction name.  Names never change a function's
+    Inverse of :func:`repro.ir.printer.print_function`: it preserves every
+    local argument, block and instruction name.  Names never change a
+    function's
     ``content_digest`` (the canonical text strips them), but downstream
     consumers can tie-break on them — SalSSA's phi coalescing orders its
     candidates by value name — so a reconstruction that feeds further
     merging must round-trip names, not just structure.  Unknown ``@name``
-    references are declared implicitly from their use-site types, exactly
-    like :func:`parse_canonical_function`.
+    references are declared implicitly from their use-site types.
     """
     lines = [_strip_comment(raw) for raw in text.splitlines()]
     stripped = [line.strip() for line in lines if line.strip()]
@@ -345,9 +293,9 @@ class _FunctionBodyParser:
 
     With ``implicit_globals`` unknown ``@name`` references are declared on the
     fly from their use-site type instead of raising — the mode used when
-    reconstructing a single shipped function outside its defining module (see
-    :func:`parse_canonical_function`), where callees and globals are part of
-    the function's meaning but their definitions were never shipped.
+    reconstructing a single function outside its defining module (see
+    :func:`parse_named_function`), where callees and globals are part of the
+    function's meaning but their definitions are not in the text.
     """
 
     def __init__(self, module: Module, function: Function,
@@ -552,10 +500,16 @@ class _FunctionBodyParser:
         if not match:
             raise ParseError("malformed call", text)
         return_type = parse_type(match.group(1).strip())
-        callee = self._value(match.group(2),
-                             PointerType(FunctionType(return_type, ())))
         args_text = match.group(3).strip()
-        args = [self._typed_value(a) for a in _split_top_level(args_text)] if args_text else []
+        arg_tokens = _split_top_level(args_text) if args_text else []
+        # An implicitly declared callee takes its parameter types from the
+        # call's arguments, so a later use of it as a value (a select over
+        # function pointers) prints with the type it was defined with.
+        param_types = tuple(parse_type(token.strip().rpartition(" ")[0])
+                            for token in arg_tokens)
+        callee = self._value(match.group(2),
+                             PointerType(FunctionType(return_type, param_types)))
+        args = [self._typed_value(a) for a in arg_tokens]
         return return_type, callee, args, match.group(4).strip()
 
     def _parse_call(self, text: str) -> CallInst:

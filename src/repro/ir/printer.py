@@ -150,9 +150,9 @@ def canonical_function_text(function: Function) -> str:
     referenced by name: they are part of the function's meaning.  This is the
     serialization hashed into
     :meth:`repro.ir.function.Function.content_digest`, which keys the
-    ``repro.persist`` artifact store; reordering or renaming local values
-    only ever changes the digest conservatively (a cache miss, never a stale
-    hit).
+    incremental pipeline's attempt cache; reordering or renaming local
+    values only ever changes the digest conservatively (a cache miss, never
+    a stale hit).
     """
     params = ", ".join(str(arg.type) for arg in function.args)
     header = f"{function.return_type} ({params})"

@@ -445,12 +445,9 @@ class FunctionMergingPass:
         size_b = cost_model.function_size(other, manager)
         # The trial merged function is sized *without* the manager: it is
         # evaluated exactly once and usually discarded, so caching buys
-        # nothing — and with a persistent tier attached, routing it through
-        # the manager would content-digest (canonicalize + hash) and write a
-        # store record for every throwaway attempt in this hot loop.  Sizes
-        # are deterministic, so the decision is identical either way;
-        # committed merged functions are re-sized through the manager in
-        # run(), where the result is actually reused.
+        # nothing.  Sizes are deterministic, so the decision is identical
+        # either way; committed merged functions are re-sized through the
+        # manager in run(), where the result is actually reused.
         decision = cost_model.evaluate(function, other, merged.function,
                                        size_a=size_a, size_b=size_b)
         report.records.append(MergeRecord(

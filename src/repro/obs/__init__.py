@@ -4,10 +4,9 @@ One :class:`MetricsRegistry` per run holds every counter, gauge, histogram
 and timer the pipeline records, a phase-scoped span trace (wall-clock,
 nesting, per-phase peak memory), and exports the lot as Prometheus text
 exposition or a JSON snapshot.  The existing per-subsystem stats dataclasses
-(``SearchStats`` / ``AnalysisStats`` / ``StoreStats``) stay as the stable
-views callers already use; the adapters here fold them into the registry so
-the ``repro.service`` daemon can scrape one endpoint instead of three
-counter bags.
+(``SearchStats`` / ``AnalysisStats`` / ``IncrementalStats``) stay as the
+stable views callers already use; the adapters here fold them into the
+registry so one export holds the whole run's counters.
 
 See ``docs/observability.md`` for the registry API, the span taxonomy and
 the trend-gate workflow.
@@ -43,14 +42,12 @@ from .events import (
     as_event_log,
     attach_events,
 )
-from .http import ObsHTTPServer, serve_metrics
 from .buckets import cached_bucket_overrides, collect_timer_quantiles, \
     derive_buckets, tuned_bucket_overrides
 from .sink import (
     SINK_SCHEMA,
     EventSink,
     RotatingSink,
-    SnapshotSink,
     load_events_path,
     read_sink_events,
     replay_records,
@@ -65,13 +62,11 @@ from .runs import (
     report_digest_hex,
 )
 from .adapters import (
-    attach_all,
     observe_analysis_stats,
     observe_incremental_stats,
     observe_merge_report,
     observe_pipeline_result,
     observe_search_stats,
-    observe_store_stats,
 )
 
 __all__ = [
@@ -93,16 +88,13 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "ObsHTTPServer",
     "RotatingSink",
     "RunLedger",
     "RunRecord",
-    "SnapshotSink",
     "SpanRecord",
     "Timer",
     "as_event_log",
     "as_registry",
-    "attach_all",
     "attach_events",
     "attach_run_ledger",
     "cached_bucket_overrides",
@@ -122,9 +114,7 @@ __all__ = [
     "observe_merge_report",
     "observe_pipeline_result",
     "observe_search_stats",
-    "observe_store_stats",
     "registry_snapshot",
-    "serve_metrics",
     "to_prometheus_text",
     "tuned_bucket_overrides",
 ]

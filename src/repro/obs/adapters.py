@@ -1,6 +1,6 @@
 """Adapters: fold the pipeline's existing stats dataclasses into a registry.
 
-``SearchStats``, ``AnalysisStats`` and ``StoreStats`` remain the
+``SearchStats``, ``AnalysisStats`` and ``IncrementalStats`` remain the
 per-subsystem views their callers and tests consume — nothing about them
 changed.  These adapters are the bridge the other way: given any of those
 objects, they record the same counters as labeled metric families
@@ -82,41 +82,12 @@ def observe_analysis_stats(registry, stats) -> None:
         merge_mode="max").set(stats.hit_rate)
 
 
-def observe_store_stats(registry, stats) -> None:
-    """Fold one :class:`~repro.persist.StoreStats` into ``registry``."""
-    if registry is None or stats is None:
-        return
-    for result, count in (("hit", stats.hits), ("miss", stats.misses)):
-        registry.counter(
-            "repro_store_loads_total",
-            help="Artifact-store load attempts by outcome.",
-            result=result).inc(count)
-    registry.counter(
-        "repro_store_stores_total",
-        help="Records published to the artifact store.").inc(stats.stores)
-    registry.counter(
-        "repro_store_corrupt_records_total",
-        help="Records rejected as unreadable or semantically invalid."
-        ).inc(stats.corrupt_records)
-    registry.counter(
-        "repro_store_schema_mismatches_total",
-        help="Records rejected on schema-version mismatch.").inc(
-            stats.schema_mismatches)
-    registry.counter(
-        "repro_store_write_errors_total",
-        help="Failed artifact-store write attempts.").inc(stats.write_errors)
-    registry.gauge(
-        "repro_store_hit_ratio",
-        help="Fraction of store loads served from disk.",
-        merge_mode="max").set(stats.hit_rate)
-
-
 def observe_incremental_stats(registry, stats) -> None:
     """Fold one :class:`~repro.incremental.IncrementalStats` into ``registry``.
 
     Called once per delta by ``run_pipeline_incremental``; the
-    ``repro_incremental_*`` families are what the ISSUE's perf bar reads —
-    pairs rescored versus reused, merges spliced versus recomputed — and
+    ``repro_incremental_*`` families count what a delta reused — pairs
+    rescored versus reused, merges spliced versus recomputed — and
     every counter adds across deltas when the caller threads one registry
     through a whole delta stream.
     """
@@ -146,10 +117,6 @@ def observe_incremental_stats(registry, stats) -> None:
             help="Committed cached merges by materialization path: spliced "
                  "from recorded text versus deterministically re-merged.",
             outcome=outcome).inc(count)
-    registry.counter(
-        "repro_incremental_cache_evicted_total",
-        help="Attempt-cache entries dropped by the LRU cap or compact()."
-        ).inc(getattr(stats, "cache_evicted", 0))
     registry.gauge(
         "repro_incremental_pair_reuse_ratio",
         help="Fraction of this delta's pair attempts served from the "
@@ -199,7 +166,7 @@ def observe_pipeline_result(registry, result) -> None:
 
     The single per-run fold point ``run_pipeline`` uses: pipeline-level
     sizes and timings, the merge report (when merging ran), and the
-    analysis-manager and artifact-store counters.
+    analysis-manager counters.
     """
     if registry is None or result is None:
         return
@@ -231,19 +198,5 @@ def observe_pipeline_result(registry, result) -> None:
             merge_mode="max", technique=technique).set(result.peak_merge_bytes)
     if result.report is not None:
         observe_merge_report(registry, result.report)
-    observe_store_stats(registry, result.persist_stats)
     observe_analysis_stats(registry, result.analysis_stats)
 
-
-def attach_all(registry, *, analysis_manager=None, artifact_store=None,
-               candidate_index=None) -> None:
-    """Live-attach ``registry`` to whichever instrumented components exist.
-
-    Convenience for callers wiring components by hand; ``run_pipeline`` and
-    the merge pass call the individual ``attach_metrics`` hooks themselves.
-    """
-    if registry is None:
-        return
-    for component in (analysis_manager, artifact_store, candidate_index):
-        if component is not None:
-            component.attach_metrics(registry)

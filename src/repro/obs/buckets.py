@@ -1,7 +1,7 @@
 """Histogram-bucket tuning from recorded trend quantiles.
 
 The registry's one-size defaults (:data:`~repro.obs.DEFAULT_TIME_BUCKETS`,
-:data:`~repro.obs.DEFAULT_BUCKETS`) span sub-millisecond store reads to
+:data:`~repro.obs.DEFAULT_BUCKETS`) span sub-millisecond analyses to
 minute-long merges — fine as a first ladder, but a family whose
 observations cluster in two of sixteen buckets answers quantile queries
 poorly.  This module closes the loop with the perf-trend history: the

@@ -14,8 +14,8 @@ Design constraints, matching the registry's:
   recorder on or off.
 * **Bounded.**  The log is a ring buffer: when ``capacity`` is reached the
   oldest event is dropped and counted (exposed as
-  ``repro_events_dropped_total`` when a registry is attached), so a
-  long-lived service can record forever without unbounded growth.
+  ``repro_events_dropped_total`` when a registry is attached), so a long
+  session can record forever without unbounded growth.
 * **Deterministic merge.**  A log's payload (inside a registry snapshot or
   on its own) folds into another log with :meth:`EventLog.merge_payload`,
   re-sequencing as it goes — exactly how metric snapshots fold.
@@ -37,8 +37,8 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 EVENT_SCHEMA = 1
 
 #: Default ring capacity.  Decision events are small dicts; 64k of them
-#: comfortably covers the largest benchmark runs while bounding a resident
-#: service's memory.
+#: comfortably covers the largest benchmark runs while bounding a long
+#: session's memory.
 DEFAULT_CAPACITY = 65536
 
 # --------------------------------------------------------------------------
@@ -112,7 +112,7 @@ class EventLog:
     Appending past ``capacity`` drops the oldest event and bumps
     :attr:`dropped` (and the ``repro_events_dropped_total`` counter when a
     registry is attached via :func:`attach_events`) — recent history wins,
-    which is the right trade for a live service endpoint.
+    which is the right trade for a long delta stream.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -126,8 +126,8 @@ class EventLog:
         self.dropped = 0
         self._registry = None
         self._sink = None
-        # Guards the ring against a live exposition endpoint serializing it
-        # while the pipeline (or a snapshot fold) is still emitting.
+        # Guards the ring against a concurrent reader serializing it while
+        # the pipeline (or a snapshot fold) is still emitting.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------- recording
@@ -249,8 +249,8 @@ class EventLog:
 
         With a sink attached the rendered stream replays every event ever
         emitted (rotated segments included) with a disk-side drop count of
-        zero — what ``/events.jsonl`` should serve once the ring has
-        overflowed.  Without a sink this is just :meth:`to_jsonl`.
+        zero, so nothing is lost once the ring has overflowed.  Without a
+        sink this is just :meth:`to_jsonl`.
         """
         with self._lock:
             sink = self._sink
@@ -316,7 +316,7 @@ def as_event_log(events: Union[None, bool, EventLog]) -> Optional[EventLog]:
 
 def attach_events(registry, events: Union[None, bool, EventLog]):
     """Attach an event log to ``registry`` (the registry+log pair is what the
-    exposition endpoint and the snapshot wire format serve together).
+    snapshot wire format carries together).
 
     Returns the attached log (or None).  Idempotent for the same log; a new
     log replaces the old one.  Snapshots of a registry with an attached log

@@ -3,15 +3,14 @@
 Two renderings of one :class:`~repro.obs.MetricsRegistry`:
 
 * :func:`to_prometheus_text` — the `text exposition format
-  <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ a scrape
-  endpoint serves (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket``
-  series for histograms).  Timers export as histograms of seconds, matching
-  the ``_seconds`` naming convention their families already follow.
+  <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
+  (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket`` series for
+  histograms).  Timers export as histograms of seconds, matching the
+  ``_seconds`` naming convention their families already follow.
 * :func:`registry_snapshot` / :func:`merge_snapshot_into` — a JSON-safe
   snapshot of every family, sample and span, and its inverse fold.  This is
-  what :class:`~repro.obs.SnapshotSink` persists and what
-  ``PipelineResult.metrics.snapshot()`` hands to anything that wants the run's telemetry as data (the future
-  ``repro.service`` daemon, the trend tooling, tests).
+  what ``PipelineResult.metrics.snapshot()`` hands to anything that wants
+  the run's telemetry as data (the trend tooling, tests).
 
 Both renderings are deterministic: families sort by name, samples by label
 values, so identical registries export identical bytes.

@@ -2,16 +2,15 @@
 timer the pipeline records.
 
 Before this package existed the pipeline's telemetry was ad-hoc counter bags
-(``SearchStats`` / ``AnalysisStats`` / ``StoreStats``) stitched onto
+(``SearchStats`` / ``AnalysisStats``) stitched onto
 :class:`~repro.harness.pipeline.PipelineResult`.  Those dataclasses remain —
-they are the stable per-subsystem views existing callers and tests consume — but a :class:`MetricsRegistry` attached to a run becomes
-the single queryable spine behind them: the adapters in
-:mod:`repro.obs.adapters` fold every stats object into labeled metric
-families, phase-scoped spans (see :meth:`MetricsRegistry.span`) trace the
-run's wall-clock and peak memory, and the exporters in
-:mod:`repro.obs.export` render the whole registry as Prometheus text
-exposition or a JSON snapshot a future ``repro.service`` daemon can serve
-unchanged.
+they are the stable per-subsystem views existing callers and tests consume —
+but a :class:`MetricsRegistry` attached to a run becomes the single
+queryable spine behind them: the adapters in :mod:`repro.obs.adapters` fold
+every stats object into labeled metric families, phase-scoped spans (see
+:meth:`MetricsRegistry.span`) trace the run's wall-clock and peak memory,
+and the exporters in :mod:`repro.obs.export` render the whole registry as
+Prometheus text exposition or a JSON snapshot.
 
 Design constraints, in order:
 
@@ -46,7 +45,7 @@ _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Default histogram boundaries for timers (seconds).  Spans from the merge
-#: pipeline range from sub-millisecond store reads to multi-second merge
+#: pipeline range from sub-millisecond analyses to multi-second merge
 #: phases, so the ladder is log-spaced across that whole band.
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -279,8 +278,8 @@ class MetricFamily:
         self.buckets = tuple(buckets) if buckets is not None else None
         self.merge_mode = merge_mode
         self._children: Dict[Tuple[str, ...], Any] = {}
-        # Guards child creation and enumeration: a live exposition endpoint
-        # scrapes while the pipeline inserts new label sets concurrently.
+        # Guards child creation and enumeration: a concurrent reader exports
+        # while the pipeline inserts new label sets.
         self._lock = threading.RLock()
 
     def _make_child(self) -> Any:
@@ -363,7 +362,7 @@ class MetricsRegistry:
         self._bucket_overrides: Dict[str, Tuple[float, ...]] = {
             name: tuple(float(bound) for bound in bounds)
             for name, bounds in (bucket_overrides or {}).items()}
-        # Guards family creation/enumeration against concurrent scrapes.
+        # Guards family creation/enumeration against concurrent exports.
         self._lock = threading.RLock()
         self.deep = deep
         self._owns_tracemalloc = False

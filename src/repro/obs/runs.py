@@ -95,8 +95,8 @@ class RunRecord:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Net traced allocation per span name (deep mode only; else empty).
     phase_alloc: Dict[str, int] = field(default_factory=dict)
-    #: Subsystem counter views (analysis/persist/incremental),
-    #: present only for the subsystems the run actually exercised.
+    #: Subsystem counter views (analysis/incremental), present only for
+    #: the subsystems the run actually exercised.
     stats: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Verdict reason-code histogram from the flight recorder (empty when
     #: the run recorded no events).
@@ -262,9 +262,9 @@ def _report_digest_hex(report) -> Optional[str]:
 def report_digest_hex(report) -> Optional[str]:
     """SHA-256 hex of a report's bit-identity digest (``None`` sans report).
 
-    The public spelling of the ledger's ``report_digest`` field — the merge
-    service replies with it so clients can assert digest parity against a
-    batch run without holding the report object.
+    The public spelling of the ledger's ``report_digest`` field, so callers
+    can assert digest parity against a batch run without holding the report
+    object.
     """
     return _report_digest_hex(report)
 
@@ -305,8 +305,6 @@ def record_pipeline_run(registry, result, mode: str,
         stats["analysis"] = {
             key: value for key, value in vars(result.analysis_stats).items()
             if isinstance(value, (int, float, str, bool))}
-    if result.persist_stats is not None:
-        stats["persist"] = result.persist_stats.as_dict()
     if incremental is not None:
         stats["incremental"] = {
             key: value for key, value in incremental.items()
@@ -349,11 +347,7 @@ def record_pipeline_run(registry, result, mode: str,
         events_dropped=events_dropped,
         unix_time=int(time.time()),
     )
-    run_id = ledger.record(record)
-    # Leave the id where synchronous callers (the merge service) can read
-    # it back without re-querying the ledger.
-    registry.last_run_id = run_id
-    return run_id
+    return ledger.record(record)
 
 
 # ---------------------------------------------------------------------------

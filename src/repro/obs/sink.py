@@ -1,8 +1,7 @@
-"""Durable sinks: crash-tolerant rotating JSONL files for events and
-snapshots.
+"""Durable sinks: crash-tolerant rotating JSONL files for events.
 
 The flight recorder (:mod:`repro.obs.events`) is a ring buffer — the right
-shape for a live endpoint, the wrong one for history: a long-lived service
+shape for bounded memory, the wrong one for history: a long delta stream
 evicts its oldest decisions and a crashed run loses everything.  A
 :class:`RotatingSink` gives the recorder a disk half:
 
@@ -25,10 +24,10 @@ evicts its oldest decisions and a crashed run loses everything.  A
   construction.  Write failures are swallowed and counted
   (:attr:`RotatingSink.write_errors`) — a sink that cannot persist degrades
   to the in-memory ring, mirroring the artifact store's contract.
-* **Scrape-safe.**  Replay takes the sink lock only to flush; reading races
+* **Read-safe.**  Replay takes the sink lock only to flush; reading races
   rotation and gzip finalization without errors (a segment renamed between
-  listing and open is re-resolved by index), which is what lets a live
-  ``/events.jsonl`` scrape serve full history mid-run.
+  listing and open is re-resolved by index), which is what lets
+  :meth:`~repro.obs.EventLog.history_jsonl` serve full history mid-run.
 
 Layout, for ``prefix="events"``::
 
@@ -361,26 +360,6 @@ class EventSink(RotatingSink):
         return iter_sink_events(self.directory, self.prefix)
 
 
-class SnapshotSink(RotatingSink):
-    """A rotating sink of registry snapshots (``prefix="snapshots"``).
-
-    One record per :meth:`append_registry` call: a wall-clock stamp plus the
-    full JSON snapshot — the durable counterpart of ``/snapshot.json`` for
-    a service that wants periodic metric checkpoints outliving the process.
-    """
-
-    def __init__(self, directory: Union[str, Path],
-                 prefix: str = "snapshots", **options: Any) -> None:
-        super().__init__(directory, prefix=prefix, **options)
-
-    def append_registry(self, registry) -> bool:
-        return self.append({"unix_time": int(time.time()),
-                            "snapshot": registry.snapshot()})
-
-    def replay_snapshots(self) -> List[Dict[str, Any]]:
-        return self.replay()
-
-
 def iter_sink_events(directory: Union[str, Path],
                      prefix: str = "events") -> Iterator[Event]:
     """Replay a sink directory as :class:`Event` objects, rotation order."""
@@ -414,8 +393,9 @@ def sink_history_jsonl(directory: Union[str, Path],
                        prefix: str = "events") -> str:
     """A sink directory rendered in the event log's JSONL wire format.
 
-    What ``/events.jsonl`` serves when the ring has dropped: the header's
-    ``dropped`` is 0 because the disk-side history is complete.
+    What :meth:`~repro.obs.EventLog.history_jsonl` returns when the ring has
+    dropped: the header's ``dropped`` is 0 because the disk-side history is
+    complete.
     """
     lines = [json.dumps({"repro_events_schema": EVENT_SCHEMA, "dropped": 0,
                          "next_seq": 0}, sort_keys=True)]

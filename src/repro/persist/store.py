@@ -5,14 +5,11 @@ directory layout::
 
     <root>/objects/<kind>/<digest[:2]>/<digest>.json
 
-``kind`` names the artifact family (``analysis.fingerprint``,
-``incremental.state``, ...) and ``digest`` is a content address — for
-per-function artifacts, :meth:`repro.ir.function.Function.content_digest` —
-so a record is valid exactly as long as the content it was derived from
-exists, with no invalidation protocol at all: content changed ⇒ different
-digest ⇒ the old record is simply never looked up again.
+``kind`` names the artifact family (``obs.run`` for the run ledger's
+records) and ``digest`` is the record's content address, so a record never
+needs invalidating: different content gets a different digest.
 
-Robustness contract (the store is a *cache*, never a source of truth):
+Robustness contract (a damaged store loses records, never raises):
 
 * Every record carries a schema tag plus its own ``kind``/``digest``; a
   missing, truncated, corrupt, mis-filed or schema-incompatible record is a
@@ -21,7 +18,7 @@ Robustness contract (the store is a *cache*, never a source of truth):
   :func:`os.replace`, so concurrent writers are last-wins and readers never
   observe a half-written record.
 * Write failures (read-only disk, quota) are swallowed and counted — a store
-  that cannot persist degrades to the cold path.
+  that cannot persist loses the record and the caller carries on.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import Any, Dict, Iterable, Optional, Union
 
 #: Version tag of the on-disk record format.  Bump on any incompatible change
 #: to the record envelope or a payload encoding: old records then read as
-#: schema mismatches (cold rebuild), never as wrong data.
+#: schema mismatches (misses), never as wrong data.
 SCHEMA_VERSION = 1
 
 _UNSAFE_PATH_CHARS = re.compile(r"[^A-Za-z0-9_.-]")
@@ -56,7 +53,7 @@ class StoreStats:
     corrupt_records: int = 0
     #: Records rejected because their schema tag did not match the store's.
     schema_mismatches: int = 0
-    #: Failed write attempts (the store keeps working, just colder).
+    #: Failed write attempts (the store keeps working; the record is lost).
     write_errors: int = 0
 
     @property
@@ -68,16 +65,6 @@ class StoreStats:
     def hit_rate(self) -> float:
         """Fraction of loads served from the store."""
         return self.hits / self.loads if self.loads else 0.0
-
-    def merge(self, other: "StoreStats") -> "StoreStats":
-        """Fold ``other``'s counters into this one (in place) and return self."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.corrupt_records += other.corrupt_records
-        self.schema_mismatches += other.schema_mismatches
-        self.write_errors += other.write_errors
-        return self
 
     def as_dict(self) -> Dict[str, Any]:
         """A flat summary suitable for reporting / ``extra_info`` dumps."""
@@ -109,30 +96,6 @@ class ArtifactStore:
         self.schema_version = schema_version
         self.stats = stats or StoreStats()
         self._sequence = 0
-        #: Optional repro.obs.MetricsRegistry (see :meth:`attach_metrics`):
-        #: when attached, load/store calls time themselves into the
-        #: ``repro_store_io_seconds`` timer family.
-        self._metrics = None
-        self._io_timers = None
-
-    def attach_metrics(self, registry) -> None:
-        """Record store I/O timings into ``registry``.
-
-        Purely observational — payloads, hit/miss behaviour and the
-        :class:`StoreStats` counters are identical with or without a
-        registry.  Passing ``None`` detaches.
-        """
-        self._metrics = registry
-        if registry is None:
-            self._io_timers = None
-            return
-        help_text = "Wall-clock of artifact-store I/O, by operation."
-        self._io_timers = {
-            "load": registry.timer("repro_store_io_seconds", help=help_text,
-                                   op="load"),
-            "store": registry.timer("repro_store_io_seconds", help=help_text,
-                                    op="store"),
-        }
 
     # ---------------------------------------------------------------- layout
     def path_for(self, kind: str, digest: str) -> Path:
@@ -150,12 +113,6 @@ class ArtifactStore:
         Any defect — absent file, unreadable file, invalid JSON, wrong
         envelope, schema mismatch, mis-filed record — is a miss.
         """
-        if self._io_timers is None:
-            return self._load(kind, digest)
-        with self._io_timers["load"].time():
-            return self._load(kind, digest)
-
-    def _load(self, kind: str, digest: str) -> Optional[Any]:
         path = self.path_for(kind, digest)
         try:
             text = path.read_text(encoding="utf-8")
@@ -190,12 +147,6 @@ class ArtifactStore:
     # ---------------------------------------------------------------- stores
     def store(self, kind: str, digest: str, payload: Any) -> bool:
         """Persist ``payload`` under ``(kind, digest)``; False on write failure."""
-        if self._io_timers is None:
-            return self._store(kind, digest, payload)
-        with self._io_timers["store"].time():
-            return self._store(kind, digest, payload)
-
-    def _store(self, kind: str, digest: str, payload: Any) -> bool:
         path = self.path_for(kind, digest)
         record = {
             "schema": self.schema_version,

@@ -7,12 +7,10 @@ from repro.harness.metrics import (
     arithmetic_mean,
     combine_analysis_stats,
     combine_search_stats,
-    combine_store_stats,
     geometric_mean,
     measure_time,
     stopwatch,
 )
-from repro.persist import StoreStats
 from repro.search.stats import SearchStats
 from repro.harness.reporting import format_table
 from repro.merge.cost_model import CostModel, MergeDecision
@@ -86,9 +84,9 @@ class TestCostModelDefaults:
 
 class TestStatsCombiners:
     """Aliased stats objects must merge once: pipeline results routinely
-    share one live stats object (runs over one ArtifactStore share its
-    StoreStats; a result and its report expose the same search stats), and
-    the combiners dedupe by identity so passing every run is always safe."""
+    share one live stats object (a result and its report expose the same
+    search stats), and the combiners dedupe by identity so passing every
+    run is always safe."""
 
     def test_combine_search_stats_skips_none_and_sums(self):
         a = SearchStats(queries=2, candidates_scanned=10)
@@ -102,16 +100,6 @@ class TestStatsCombiners:
         combined = combine_search_stats([shared, shared, shared])
         assert combined.queries == 4
 
-    def test_combine_store_stats_dedupes_shared_store(self):
-        # The documented footgun: N pipeline runs over one store all expose
-        # the same StoreStats.  Totals must not multiply by N.
-        shared = StoreStats(hits=7, misses=3, stores=2)
-        distinct = StoreStats(hits=1)
-        combined = combine_store_stats([shared, shared, distinct, shared])
-        assert combined.hits == 8
-        assert combined.misses == 3
-        assert combined.stores == 2
-
     def test_combine_analysis_stats_dedupes_aliases(self):
         shared = AnalysisStats(hits=10, misses=2)
         combined = combine_analysis_stats([shared, None, shared])
@@ -121,5 +109,6 @@ class TestStatsCombiners:
     def test_equal_but_distinct_objects_still_both_count(self):
         # Identity dedupe, not equality: two genuinely separate runs with
         # identical counters are two runs' worth of work.
-        combined = combine_store_stats([StoreStats(hits=1), StoreStats(hits=1)])
+        combined = combine_analysis_stats([AnalysisStats(hits=1),
+                                           AnalysisStats(hits=1)])
         assert combined.hits == 2

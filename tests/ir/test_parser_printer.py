@@ -5,7 +5,6 @@ import pytest
 from repro.ir import (
     ParseError,
     canonical_function_text,
-    parse_canonical_function,
     parse_function,
     parse_module,
     print_function,
@@ -13,6 +12,7 @@ from repro.ir import (
     verify_module,
 )
 from repro.ir.instructions import InvokeInst, PhiInst, SelectInst, SwitchInst
+from repro.ir.parser import parse_named_function
 
 from ..conftest import MOTIVATING_EXAMPLE
 
@@ -167,7 +167,7 @@ class TestRoundTrip:
         # Spellings with spaces inside the type ("i32 (i32)*") must not be
         # truncated at the first space: SalSSA's operand selection emits
         # phi/select/icmp over function pointers, and a lossy reparse (the
-        # splice and worker-rebuild paths) silently changes merge outcomes.
+        # splice path) silently changes merge outcomes.
         source = """
         declare i32 @ext0(i32 %arg0)
         declare i32 @ext4(i32 %arg0)
@@ -213,45 +213,66 @@ class TestRoundTrip:
         text = print_module(module)
         assert print_module(parse_module(text)) == text
 
+    def test_implicit_callee_takes_its_type_from_the_call(self):
+        # A callee first seen in a direct call is declared with the call's
+        # argument types, so its later use as a function-pointer value
+        # prints with the same type it was called with.
+        source = """
+        define i32 @pick(i1 %c, i32 %x) {
+        entry:
+          %r = call i32 @ext(i32 %x, i32 %x)
+          %fp = select i1 %c, i32 (i32, i32)* @ext, i32 (i32, i32)* @ext
+          %s = call i32 %fp(i32 %r, i32 %x)
+          ret i32 %s
+        }
+        """
+        text = print_function(parse_named_function(source))
+        rebuilt = parse_named_function(text)
+        declared = rebuilt.parent.get_function("ext")
+        assert str(declared.function_type) == "i32 (i32, i32)"
+        assert print_function(rebuilt) == text
+
 
 class TestCanonicalRoundTrip:
-    """``parse_canonical_function`` inverts ``canonical_function_text``.
+    """``parse_named_function`` inverts ``print_function`` for one function.
 
-    Reconstructed IR must have the same canonical text — and therefore the
-    same ``content_digest`` — as the original.
+    The splice path parses each merged body back outside its module, and the
+    incremental pipeline keys its cache on ``content_digest``: the rebuilt
+    function must have the same canonical text, and therefore the same
+    digest, as the original.
     """
 
     @pytest.mark.parametrize("source", [MOTIVATING_EXAMPLE, FULL_COVERAGE])
     def test_canonical_text_is_a_fixed_point(self, source):
         module = parse_module(source)
         for function in module.defined_functions():
-            text = canonical_function_text(function)
-            rebuilt = parse_canonical_function(text, name=function.name)
-            assert canonical_function_text(rebuilt) == text
+            rebuilt = parse_named_function(print_function(function))
+            assert canonical_function_text(rebuilt) == \
+                canonical_function_text(function)
+            assert print_function(rebuilt) == print_function(function)
 
     @pytest.mark.parametrize("source", [MOTIVATING_EXAMPLE, FULL_COVERAGE])
     def test_content_digest_survives_the_round_trip(self, source):
         module = parse_module(source)
         for function in module.defined_functions():
-            rebuilt = parse_canonical_function(
-                canonical_function_text(function), name=function.name)
+            rebuilt = parse_named_function(print_function(function))
             assert rebuilt.content_digest() == function.content_digest()
 
     def test_unknown_callees_and_globals_are_declared_implicitly(self):
         module = parse_module(FULL_COVERAGE)
         function = module.get_function("everything")
-        rebuilt = parse_canonical_function(canonical_function_text(function))
-        worker_module = rebuilt.parent
+        rebuilt = parse_named_function(print_function(function))
+        splice_module = rebuilt.parent
         # The call/invoke targets and @counter exist only as implicit
         # declarations in the reconstruction module.
-        assert worker_module.get_function("callee") is not None
-        assert worker_module.get_function("callee").is_declaration()
-        assert worker_module.get_global("counter") is not None
+        assert splice_module.get_function("callee") is not None
+        assert splice_module.get_function("callee").is_declaration()
+        assert splice_module.get_global("counter") is not None
 
     def test_rebuilt_functions_are_structurally_identical(self):
         module = parse_module(FULL_COVERAGE)
         function = module.get_function("everything")
-        rebuilt = parse_canonical_function(canonical_function_text(function))
+        rebuilt = parse_named_function(print_function(function))
         assert rebuilt.num_instructions() == function.num_instructions()
         assert len(rebuilt.blocks) == len(function.blocks)
         assert [i.opcode for i in rebuilt.instructions()] == \
@@ -260,15 +281,16 @@ class TestCanonicalRoundTrip:
     def test_canonical_declaration_round_trips(self):
         module = parse_module(FULL_COVERAGE)
         declaration = module.get_function("callee")
-        text = canonical_function_text(declaration)
-        rebuilt = parse_canonical_function(text, name="callee")
+        rebuilt = parse_named_function(print_function(declaration))
         assert rebuilt.is_declaration()
-        assert canonical_function_text(rebuilt) == text
+        assert rebuilt.name == "callee"
+        assert canonical_function_text(rebuilt) == \
+            canonical_function_text(declaration)
 
     def test_malformed_canonical_text_raises(self):
         with pytest.raises(ParseError):
-            parse_canonical_function("")
+            parse_named_function("")
         with pytest.raises(ParseError):
-            parse_canonical_function("not a header at all")
+            parse_named_function("not a header at all")
         with pytest.raises(ParseError):
-            parse_canonical_function("define i32 (i32) {\nb0:\n  ret i32 %a0")
+            parse_named_function("define i32 @f(i32 %x) {\nentry:\n  ret i32 %x")

@@ -45,12 +45,15 @@ def cache_row(fingerprint_ratio=2.531, speedup=1.0):
             "speedup": speedup, "digests_match": True, "unix_time": 1}
 
 
-def incremental_row(rescore_fraction=0.05):
-    """An ``incremental`` row: its rescore fraction is lower-is-better."""
+def incremental_row(rescore_fraction=0.05, num_functions=64,
+                    pairs_rescored=3):
+    """An ``incremental`` row: its rescore fraction and rescored pairs are
+    lower-is-better."""
     return {"bench": "incremental", "commit": "abc1234",
-            "num_functions": 64, "rescore_fraction": rescore_fraction,
-            "pairs_rescored": 3, "speedup": 5.0, "digests_match": True,
-            "unix_time": 1}
+            "num_functions": num_functions,
+            "rescore_fraction": rescore_fraction,
+            "pairs_rescored": pairs_rescored, "speedup": 5.0,
+            "digests_match": True, "unix_time": 1}
 
 
 class TestGateOutcomes:
@@ -100,20 +103,18 @@ class TestGateOutcomes:
 
 class TestSeriesKeying:
     def test_different_contexts_never_compare(self, gate, tmp_path):
-        # service_load is keyed by host_cpus and gates `errors` at zero: a
-        # row from a new host class starts its own series (too short to
+        # incremental is keyed by num_functions and gates pairs_rescored: a
+        # row at a new module size starts its own series (too short to
         # fail), while the same row in the old context is judged and fails.
-        def load_row(host_cpus, errors):
-            return {"bench": "service_load", "commit": "abc1234",
-                    "sessions": 3, "jobs": 3, "num_functions": 24,
-                    "host_cpus": host_cpus, "errors": errors,
-                    "jobs_per_second": 12.0, "unix_time": 1}
-        history = [load_row(1, 0)] * 3
+        def row(num_functions, pairs_rescored):
+            return incremental_row(num_functions=num_functions,
+                                   pairs_rescored=pairs_rescored)
+        history = [row(64, 4)] * 3
         new_context = write_rows(tmp_path / "new.jsonl",
-                                 history + [load_row(2, 1)])
+                                 history + [row(128, 40)])
         assert gate.main(["--trend", new_context]) == 0
         same_context = write_rows(tmp_path / "same.jsonl",
-                                  history + [load_row(1, 1)])
+                                  history + [row(64, 40)])
         assert gate.main(["--trend", same_context]) == 1
 
     def test_unknown_bench_is_skipped_not_fatal(self, gate, tmp_path):
@@ -132,19 +133,16 @@ class TestSeriesKeying:
 
 class TestNearZeroBaselines:
     def test_abs_slack_shields_zero_counters(self, gate, tmp_path):
-        # warm_recomputed has median 0; pure relative tolerance would flag
+        # pairs_rescored has median 0; pure relative tolerance would flag
         # ANY nonzero value.  The absolute slack admits small counts...
-        def persist_row(warm_recomputed):
-            return {"bench": "persist_warm_start", "commit": "abc1234",
-                    "num_functions": 96,
-                    "fingerprint_reduction": 1.0, "warm_hit_rate": 1.0,
-                    "warm_recomputed": warm_recomputed, "speedup": 1.3,
-                    "digests_match": True, "unix_time": 1}
-        rows = [persist_row(0)] * 3 + [persist_row(2)]
+        def row(pairs_rescored):
+            return incremental_row(num_functions=96,
+                                   pairs_rescored=pairs_rescored)
+        rows = [row(0)] * 3 + [row(2)]
         assert gate.main(
             ["--trend", write_rows(tmp_path / "a.jsonl", rows)]) == 0
-        # ...but a real warm-path collapse still fails.
-        rows = [persist_row(0)] * 3 + [persist_row(40)]
+        # ...but a real reuse collapse still fails.
+        rows = [row(0)] * 3 + [row(40)]
         assert gate.main(
             ["--trend", write_rows(tmp_path / "b.jsonl", rows)]) == 1
 

@@ -225,19 +225,15 @@ class TestMergePassEmission:
 
 
 class TestIncrementalEmission:
-    def test_state_load_and_splice_provenance(self, tmp_path):
+    def test_state_load_and_splice_provenance(self):
         module = search_workload(48)
         first = run_pipeline_incremental(copy_module(module),
-                                         benchmark="inc",
-                                         cache_dir=str(tmp_path),
-                                         events=True)
+                                         benchmark="inc", events=True)
         log1 = first.result.metrics.events
         assert log1.records("state_load")[0].data["provenance"] \
             == "cold_bootstrap"
         second = run_pipeline_incremental(copy_module(module), first.state,
-                                          benchmark="inc",
-                                          cache_dir=str(tmp_path),
-                                          events=True)
+                                          benchmark="inc", events=True)
         log2 = second.result.metrics.events
         assert log2.records("state_load")[0].data["provenance"] == "live_state"
         materialized = log2.records("materialize")

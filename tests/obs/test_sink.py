@@ -1,5 +1,5 @@
 """Durable rotating sinks: rotation, crash tolerance, the write-ahead
-contract with the flight recorder, and the sink-backed HTTP history.
+contract with the flight recorder, and the sink-backed event history.
 
 The load-bearing promises, each pinned here:
 
@@ -16,7 +16,7 @@ The load-bearing promises, each pinned here:
 import gzip
 import json
 import threading
-import urllib.request
+import time
 
 import pytest
 
@@ -24,9 +24,7 @@ from repro.obs import (
     EventLog,
     EventSink,
     MetricsRegistry,
-    ObsHTTPServer,
     RotatingSink,
-    SnapshotSink,
     attach_events,
     load_events_path,
     read_sink_events,
@@ -217,24 +215,11 @@ class TestLoadEventsPath:
             load_events_path(tmp_path / "nope.jsonl")
 
 
-class TestSnapshotSink:
-    def test_registry_snapshots_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", op="a").inc(5)
-        with SnapshotSink(tmp_path) as sink:
-            assert sink.append_registry(registry)
-        [record] = list(replay_records(tmp_path, "snapshots"))
-        assert record["snapshot"]["schema"] == 1
-        restored = MetricsRegistry()
-        restored.merge_snapshot(record["snapshot"])
-        assert restored.counter("repro_test_total", op="a").value == 5
-
-
 class TestConcurrentScrape:
     def test_events_scrape_serves_full_history_while_sink_rotates(
             self, tmp_path):
-        """A live /events.jsonl scrape races emission and rotation and must
-        always see a parsable, complete-so-far history (dropped == 0)."""
+        """Reading the history races emission and rotation and must always
+        see a parsable, complete-so-far history (dropped == 0)."""
         registry = MetricsRegistry()
         log = EventLog(capacity=8)
         log.attach_sink(EventSink(tmp_path, max_bytes=512, compress=True))
@@ -248,24 +233,25 @@ class TestConcurrentScrape:
                 index += 1
 
         thread = threading.Thread(target=writer, daemon=True)
-        with ObsHTTPServer(registry) as server:
-            thread.start()
-            try:
-                seen = []
-                for _ in range(10):
-                    with urllib.request.urlopen(server.url + "/events.jsonl",
-                                                timeout=5) as response:
-                        assert response.status == 200
-                        body = response.read().decode("utf-8")
-                    restored = EventLog.from_jsonl(
-                        body, capacity=max(len(body), 1))
-                    assert restored.dropped == 0
-                    seqs = [event.seq for event in restored]
-                    assert seqs == sorted(seqs)
-                    seen.append(len(restored))
-            finally:
-                stop.set()
-                thread.join(timeout=5)
+        thread.start()
+        try:
+            seen = []
+            deadline = time.monotonic() + 10
+            # Keep reading until the writer has rotated mid-race, so reads
+            # overlap rotation and gzip finalization.
+            while (len(seen) < 10 or log.sink.rotations < 2) \
+                    and time.monotonic() < deadline:
+                body = log.history_jsonl()
+                restored = EventLog.from_jsonl(
+                    body, capacity=max(len(body), 1))
+                assert restored.dropped == 0
+                seqs = [event.seq for event in restored]
+                assert seqs == sorted(seqs)
+                seen.append(len(restored))
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
         assert seen == sorted(seen)  # history only ever grows
         assert log.sink.rotations > 0  # the race actually happened
         assert log.sink.write_errors == 0

@@ -1,6 +1,6 @@
 """Tests for canonical serialization and function content digests.
 
-The whole persistence subsystem keys on
+The incremental pipeline keys delta detection and its attempt cache on
 :meth:`repro.ir.function.Function.content_digest`; these tests pin down the
 properties that make that safe: name-independence, mutation sensitivity,
 epoch-keyed memoization and — run in a fresh interpreter — stability across

@@ -166,19 +166,6 @@ class TestWriteFailure:
 
 
 class TestStats:
-    def test_merge_accumulates(self):
-        first = StoreStats(hits=2, misses=1, stores=3)
-        second = StoreStats(hits=1, misses=4, corrupt_records=1,
-                            schema_mismatches=2, write_errors=1)
-        combined = first.merge(second)
-        assert combined is first
-        assert combined.hits == 3 and combined.misses == 5
-        assert combined.loads == 8
-        assert combined.stores == 3
-        assert combined.corrupt_records == 1
-        assert combined.schema_mismatches == 2
-        assert combined.write_errors == 1
-
     def test_as_dict_and_hit_rate(self):
         stats = StoreStats(hits=3, misses=1)
         summary = stats.as_dict()
